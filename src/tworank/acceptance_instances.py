@@ -229,7 +229,7 @@ def quaternion_battery():
                 VERIFIED if ok else VIOLATED,
                 counts={"match": int(ok)},
                 witness=None if ok else {"tag": tag, "info": {k: str(v) for k, v in info.items()}},
-                elapsed_ms=clock["elapsed_ms"],
+                elapsed_ms=clock.elapsed_ms,
             )
         )
     plane = pg2(9)
@@ -268,7 +268,7 @@ def counting_battery(q=9):
                 "subplane_order": fs.subplane_order or 0,
             },
             witness=None if ok else {"fixed_points": fs.num_points},
-            elapsed_ms=clock["elapsed_ms"],
+            elapsed_ms=clock.elapsed_ms,
         )
     )
     return reports

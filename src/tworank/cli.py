@@ -67,7 +67,8 @@ def build_parser():
     _add_common(p)
 
     p = vsub.add_parser("fixtrans")
-    p.add_argument("--q", type=int, default=9)
+    p.add_argument("--q", type=int, choices=(9,), default=9,
+                   help="the battery's Singer normalizer is built for PG(2, 9) only")
     _add_common(p)
 
     p = vsub.add_parser("lemma-a")

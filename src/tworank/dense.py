@@ -2,9 +2,13 @@
 
 Subgroup-lattice work (normal-subgroup enumeration, exhaustive subgroup
 streams) multiplies the same elements millions of times.  DenseGroup maps
-elements to integer indices and builds multiplication rows lazily, one per
-needed factor, so closures and conjugacy orbits run on plain ints.  Rows
-are cached; everything stays exact.
+elements to integer indices so closures and conjugacy orbits run on plain
+ints.  Multiplication rows come from a Schreier tree over the group's own
+generators: one right and one left row per generator is built by object
+products, a breadth-first search under those rows records for every
+element j a parent p and generator s with elems[j] = elems[p] * s, and any
+other row is composed from its parent's row and the generator's row with
+integer lookups.  Rows are built lazily and cached; everything stays exact.
 """
 
 from collections import deque
@@ -18,14 +22,48 @@ class DenseGroup:
         self.group = group
         self.elems = group.elements
         self.n = len(self.elems)
-        self.index = {g: i for i, g in enumerate(self.elems)}
-        self.id_idx = self.index[group.identity]
-        self._rrows = {}
-        self._lrows = {}
+        self.index = index = {g: i for i, g in enumerate(self.elems)}
+        self.id_idx = index[group.identity]
+        self.gen_idxs = tuple(index[g] for g in group.gens)
+        identity_row = list(range(self.n))
+        self._rrows = {self.id_idx: identity_row}
+        self._lrows = {self.id_idx: identity_row}
+        for j in self.gen_idxs:
+            g = self.elems[j]
+            self._rrows[j] = [index[x * g] for x in self.elems]
+            self._lrows[j] = [index[g * x] for x in self.elems]
+        self._parent, self._via = self._schreier_tree()
         self._inv = None
         self._orders = None
         self._classes = None
         self._class_of = None
+
+    def _schreier_tree(self):
+        """BFS from the identity under the right generator rows:
+        elems[j] = elems[parent[j]] * elems[via[j]] for every j but the
+        identity.  Runs over indices, so any element order works."""
+        n = self.n
+        parent = [-1] * n
+        via = [-1] * n
+        parent[self.id_idx] = self.id_idx
+        gen_rows = [(j, self._rrows[j]) for j in self.gen_idxs]
+        queue = deque([self.id_idx])
+        reached = 1
+        while queue:
+            x = queue.popleft()
+            for j, row in gen_rows:
+                y = row[x]
+                if parent[y] < 0:
+                    parent[y] = x
+                    via[y] = j
+                    reached += 1
+                    queue.append(y)
+        if reached != n:
+            raise RuntimeError(
+                f"generators reach {reached} of {n} elements; the group's gens "
+                "do not generate its element set"
+            )
+        return parent, via
 
     # -- lazy tables --------------------------------------------------------
 
@@ -34,38 +72,40 @@ class DenseGroup:
             self._inv = [self.index[g.inv()] for g in self.elems]
         return self._inv
 
+    def _tree_row(self, j, rows, right):
+        """Row j composed down the Schreier tree from its nearest cached
+        ancestor; every row on the way is cached too."""
+        path = []
+        parent = self._parent
+        while j not in rows:
+            path.append(j)
+            j = parent[j]
+        row = rows[j]
+        via = self._via
+        for k in reversed(path):
+            step = rows[via[k]]
+            row = [step[x] for x in row] if right else [row[x] for x in step]
+            rows[k] = row
+        return row
+
     def rrow(self, j):
         """Right multiplication row: rrow(j)[i] = index of elems[i] * elems[j]."""
         row = self._rrows.get(j)
         if row is None:
-            g = self.elems[j]
-            index = self.index
-            row = [index[x * g] for x in self.elems]
-            self._rrows[j] = row
+            row = self._tree_row(j, self._rrows, True)
         return row
 
     def lrow(self, j):
         """Left multiplication row: lrow(j)[i] = index of elems[j] * elems[i]."""
         row = self._lrows.get(j)
         if row is None:
-            g = self.elems[j]
-            index = self.index
-            row = [index[g * x] for x in self.elems]
-            self._lrows[j] = row
+            row = self._tree_row(j, self._lrows, False)
         return row
 
     def orders(self):
         if self._orders is None:
             self._orders = [g.order() for g in self.elems]
         return self._orders
-
-    def mul(self, i, j):
-        return self.rrow(j)[i]
-
-    def conj(self, i, j):
-        """elems[j] * elems[i] * elems[j]^-1."""
-        jinv = self.inv_table()[j]
-        return self.lrow(j)[self.rrow(jinv)[i]]
 
     # -- closures -----------------------------------------------------------
 
@@ -103,16 +143,14 @@ class DenseGroup:
 
     # -- conjugacy ------------------------------------------------------------
 
-    def _conj_gen_rows(self):
+    def conj_rows(self, gen_idxs):
+        """(lrow(j), rrow(j^-1)) per index j: x -> lr[rr[x]] conjugates
+        elems[x] by elems[j]."""
         inv = self.inv_table()
-        rows = []
-        for g in self.group.gens:
-            j = self.index[g]
-            rows.append((self.lrow(j), self.rrow(inv[j])))
-        return rows
+        return [(self.lrow(j), self.rrow(inv[j])) for j in gen_idxs]
 
     def class_orbit(self, i):
-        rows = self._conj_gen_rows()
+        rows = self.conj_rows(self.gen_idxs)
         orbit = dict.fromkeys([i])
         queue = deque([i])
         while queue:

@@ -105,17 +105,7 @@ class SubgroupLattice:
         self.D = D
         self.by_set = {}
         self.classes = []
-        self._conj_rows = None
-
-    def _rows(self):
-        if self._conj_rows is None:
-            D = self.D
-            inv = D.inv_table()
-            self._conj_rows = []
-            for g in D.group.gens:
-                j = D.index[g]
-                self._conj_rows.append((D.lrow(j), D.rrow(inv[j])))
-        return self._conj_rows
+        self._conj_rows = D.conj_rows(D.gen_idxs)
 
     def _register(self, elems, gens):
         fs = frozenset(elems)
@@ -125,7 +115,7 @@ class SubgroupLattice:
         orbit = {fs}
         self.by_set[fs] = cid
         queue = deque([fs])
-        rows = self._rows()
+        rows = self._conj_rows
         while queue:
             S = queue.popleft()
             for lr, rr in rows:
@@ -261,8 +251,7 @@ def _dense_check(D: DenseGroup, elems, gens, ctx: GLContext, source="stream") ->
     invs = [i for i in elems if orders[i] == 2]
     if order % 2:
         return LemmaAVerdict(order, gen_reprs, 0, ODD_SKIP, bound, source=source)
-    inv_table = D.inv_table()
-    conj_rows = [(D.lrow(g), D.rrow(inv_table[g])) for g in gens]
+    conj_rows = D.conj_rows(gens)
     seen = set()
     best = None
     for i in sorted(invs):
@@ -583,7 +572,7 @@ def lemma_a_campaign(
     return (
         VerificationReport(
             lemma_id, params, verdict, counts=counts, witness=witness,
-            elapsed_ms=clock["elapsed_ms"], seed=seed,
+            elapsed_ms=clock.elapsed_ms, seed=seed,
         ),
         verdicts,
     )
@@ -734,5 +723,5 @@ def sn_bound_check(kind: str, H: FiniteGroup) -> VerificationReport:
         VERIFIED if ok else VIOLATED,
         counts=counts,
         witness=None if ok else {"counts": counts},
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
     )

@@ -502,7 +502,7 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
                 params,
                 SKIPPED,
                 counts={"partial": exc.partial or 0},
-                elapsed_ms=clock.get("elapsed_ms", 0),
+                elapsed_ms=clock.elapsed_ms,
             )
     return VerificationReport(
         lemma_id,
@@ -510,7 +510,7 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
         VERIFIED if ok else VIOLATED,
         counts=counts,
         witness=witness,
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
     )
 
 

@@ -501,7 +501,7 @@ def counting_identity_check(G: PlaneGroup, g) -> VerificationReport:
         VERIFIED if ok else VIOLATED,
         counts=counts,
         witness=None if ok else {"counts": counts},
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
     )
 
 
@@ -578,7 +578,7 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
         VERIFIED if ok else VIOLATED,
         counts=counts,
         witness=None if ok else {"counts": counts},
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
     )
 
 
@@ -609,7 +609,7 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
             rep = VerificationReport(
                 "odd-transitive", params, VERIFIED,
                 counts={"witness_order": big.order, "mode": 0},
-                elapsed_ms=clock.get("elapsed_ms", 0), seed=seed,
+                elapsed_ms=clock.elapsed_ms, seed=seed,
             )
             return big, rep
         # single elements: an odd-order element with one full cycle
@@ -625,7 +625,7 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
                     rep = VerificationReport(
                         "odd-transitive", params, VERIFIED,
                         counts={"witness_order": witness.order, "mode": 1},
-                        elapsed_ms=clock.get("elapsed_ms", 0), seed=seed,
+                        elapsed_ms=clock.elapsed_ms, seed=seed,
                     )
                     return witness, rep
         # small odd-order generator sets
@@ -650,13 +650,13 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
                     rep = VerificationReport(
                         "odd-transitive", params, VERIFIED,
                         counts={"witness_order": sub.order, "mode": 2},
-                        elapsed_ms=clock.get("elapsed_ms", 0), seed=seed,
+                        elapsed_ms=clock.elapsed_ms, seed=seed,
                     )
                     return sub, rep
     rep = VerificationReport(
         "odd-transitive", params, NOT_APPLICABLE,
         counts={"exhausted": 1},
-        elapsed_ms=clock["elapsed_ms"], seed=seed,
+        elapsed_ms=clock.elapsed_ms, seed=seed,
     )
     return None, rep
 

@@ -89,15 +89,28 @@ class VerificationReport:
         return "  ".join(str(b) for b in bits)
 
 
+class Stopwatch:
+    """Milliseconds since the start of a `stopwatch` block: a live reading
+    inside the block (for reports returned early), frozen once it exits."""
+
+    def __init__(self):
+        self._start = time.perf_counter()
+        self._end = None
+
+    @property
+    def elapsed_ms(self):
+        end = self._end if self._end is not None else time.perf_counter()
+        return int((end - self._start) * 1000)
+
+
 @contextmanager
 def stopwatch():
-    """Context manager yielding a dict that gets an 'elapsed_ms' entry."""
-    box = {}
-    start = time.perf_counter()
+    """Context manager yielding a Stopwatch."""
+    clock = Stopwatch()
     try:
-        yield box
+        yield clock
     finally:
-        box["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+        clock._end = time.perf_counter()
 
 
 def dump_reports(reports, fh, stable=False):

@@ -131,7 +131,7 @@ def verify_oddnormal(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport:
         VERIFIED if ok else VIOLATED,
         counts=counts,
         witness=None if ok else {"g": repr(g), "counts": counts},
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
     )
 
 
@@ -167,7 +167,7 @@ def verify_sylow_fusion(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport
         VERIFIED if ok else VIOLATED,
         counts=counts,
         witness=None if ok else {"g": repr(g), "counts": counts},
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
     )
 
 
@@ -214,7 +214,7 @@ def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
         VERIFIED if ok else VIOLATED,
         counts=counts,
         witness=None if ok else {"g": repr(g), "counts": counts},
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
     )
 
 
@@ -406,7 +406,7 @@ def random_identity_campaign(seed: int, trials: int):
         verdict,
         counts=tally,
         witness=witness,
-        elapsed_ms=clock["elapsed_ms"],
+        elapsed_ms=clock.elapsed_ms,
         seed=seed,
     )
     return aggregate, reports

@@ -1,0 +1,59 @@
+"""Schreier-tree dense rows against the object-product oracle."""
+
+import random
+
+import pytest
+
+from tworank import constructions as lib
+from tworank.dense import DenseGroup
+from tworank.elements import Perm
+from tworank.groups import FiniteGroup, closure
+from tworank.lemma_a import _gl_generators
+from tworank.matgroup import gl_context_q
+
+
+def assert_rows_match_oracle(D, js):
+    elems, index = D.elems, D.index
+    for j in js:
+        g = elems[j]
+        assert D.rrow(j) == [index[x * g] for x in elems], j
+        assert D.lrow(j) == [index[g * x] for x in elems], j
+
+
+def shuffled_s4():
+    """S4 with its elements in a seeded order that no BFS produces."""
+    S4 = lib.symmetric(4)
+    elems = list(S4.elements)
+    random.Random(5).shuffle(elems)
+    G = FiniteGroup._from_elements(elems, S4.gens)
+    assert G.elements != S4.elements and G.elements[0] != G.identity
+    return G
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lib.symmetric(4),
+        lambda: lib.direct_product(lib.symmetric(3), lib.dihedral(8)),
+        shuffled_s4,
+        lambda: FiniteGroup._from_elements([Perm.identity_of(3)], []),
+    ],
+    ids=["S4", "S3xD8", "S4-shuffled", "trivial"],
+)
+def test_rows_match_object_products(build):
+    D = DenseGroup(build())
+    assert_rows_match_oracle(D, range(D.n))
+
+
+def test_rows_match_object_products_gl27_sample():
+    G = closure(_gl_generators(gl_context_q(2, 7)))
+    D = DenseGroup(G)
+    assert D.n == 2016
+    assert_rows_match_oracle(D, random.Random(11).sample(range(D.n), 24))
+
+
+def test_generators_short_of_the_elements_raise():
+    S4 = lib.symmetric(4)
+    G = FiniteGroup._from_elements(S4.elements, [Perm.from_cycles(4, (0, 1))])
+    with pytest.raises(RuntimeError):
+        DenseGroup(G)

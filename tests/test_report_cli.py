@@ -1,10 +1,13 @@
 import io
+import itertools
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from tworank import report
 from tworank.cli import run
 from tworank.report import (
     NOT_APPLICABLE,
@@ -134,6 +137,7 @@ def test_cli_report_merge(tmp_path, capsys):
 def test_cli_usage_errors():
     assert run(["frobnicate"]) == 3
     assert run(["verify", "sylow2", "--n", "2"]) == 3  # missing --q
+    assert run(["verify", "fixtrans", "--q", "25"]) == 3  # battery is built on PG(2, 9) only
 
 
 def test_cli_markdown_format(capsys):
@@ -181,3 +185,27 @@ def test_cli_jobs_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """The stopwatch's clock advances one second per reading."""
+    ticks = itertools.count()
+    monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+
+
+def test_elapsed_ms_on_skipped_sylow2_report(ticking_clock):
+    from tworank.matgroup import verify_sylowtwoingln
+
+    r = verify_sylowtwoingln(2, 4, 31, cap=100)
+    assert r.verdict == SKIPPED
+    assert r.elapsed_ms == 1000
+
+
+def test_elapsed_ms_on_odd_transitive_report(ticking_clock):
+    from tworank.plane import PlaneGroup, odd_transitive_search, pg2, singer_collineation
+
+    P = pg2(3)
+    _, rep = odd_transitive_search(PlaneGroup(P, [singer_collineation(P)]))
+    assert rep.verdict == VERIFIED
+    assert rep.elapsed_ms == 1000
