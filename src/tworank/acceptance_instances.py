@@ -11,9 +11,9 @@ Baer involution.
 from itertools import combinations
 
 from . import constructions as lib
-from .elements import Mat, Perm
+from .elements import Perm
 from .groups import FiniteGroup, closure
-from .matgroup import _twist_elements
+from .matgroup import GLContext, _twist_elements, singer_element
 from .plane import (
     Collineation,
     PlaneGroup,
@@ -23,7 +23,6 @@ from .plane import (
     frobenius_collineation,
     odd_transitive_search,
     pg2,
-    singer_collineation,
 )
 from .report import VERIFIED, VIOLATED, VerificationReport, stopwatch
 
@@ -49,9 +48,9 @@ def pair_action_of_s4():
 def singer_normalizer_group(plane):
     """The 91:6 normalizer of a Singer subgroup on PG(2, 9), generated by
     the Singer collineation and a semilinear element cubing it."""
-    s = singer_collineation(plane)
     F = plane.field
-    smat = _singer_matrix(plane)
+    smat = singer_element(GLContext(3, F))
+    s = Collineation.from_matrix(plane, smat)
     twisted = smat.frobenius_entrywise()
     target = smat**3
     A = next(iter(_twist_elements(F, twisted, target)), None)
@@ -65,49 +64,6 @@ def singer_normalizer_group(plane):
     if G.group().order != 546:
         raise RuntimeError(f"Singer normalizer has order {G.group().order}, expected 546")
     return G
-
-
-def _singer_matrix(plane):
-    # rebuild the matrix behind singer_collineation (same deterministic scan)
-    from .partarith import factorize
-
-    F = plane.field
-    q = F.q
-    full = q**3 - 1
-    prime_divs = list(factorize(full))
-    ident = Mat.identity_of(F, 3)
-    for c2 in range(q):
-        for c1 in range(q):
-            for c0 in range(1, q):
-                has_root = any(
-                    F.add_code(
-                        F.add_code(
-                            F.add_code(
-                                F.mul_code(F.mul_code(x, x), x),
-                                F.mul_code(c2, F.mul_code(x, x)),
-                            ),
-                            F.mul_code(c1, x),
-                        ),
-                        c0,
-                    )
-                    == 0
-                    for x in range(q)
-                )
-                if has_root:
-                    continue
-                companion = Mat.from_rows(
-                    F,
-                    [
-                        [0, 0, F.neg_code(c0)],
-                        [1, 0, F.neg_code(c1)],
-                        [0, 1, F.neg_code(c2)],
-                    ],
-                )
-                if companion**full != ident:
-                    continue
-                if all(companion ** (full // r) != ident for r in prime_divs):
-                    return companion
-    raise RuntimeError("no primitive cubic")
 
 
 def _stabilizer_subgroups(G, alpha=0):

@@ -20,7 +20,6 @@ resource-limited skip; 3 usage error.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ResourceLimitError
 from .report import (
@@ -39,8 +38,6 @@ def _add_common(parser):
     parser.add_argument("--out", metavar="PATH", default=None)
     parser.add_argument("--stable-output", action="store_true",
                         help="omit timing so identical runs are byte-identical")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for batteries")
-    parser.add_argument("--cap", type=int, default=None, help="element/closure cap")
 
 
 def build_parser():
@@ -55,6 +52,8 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--statement", type=int, choices=(1, 2, 3, 4, 5), default=None,
                    help="default: every statement whose side conditions match")
+    p.add_argument("--cap", type=int, default=None,
+                   help="element cap of the Sylow 2-subgroup closures (statements 2, 4, 5)")
     _add_common(p)
 
     p = vsub.add_parser("tower")
@@ -77,6 +76,10 @@ def build_parser():
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--cap", type=int, default=None,
+                   help="largest subgroup order the random stream closes "
+                        "(default 30000 for n <= 2, else 4000; the exhaustive "
+                        "lattice ignores it)")
     _add_common(p)
 
     p = vsub.add_parser("sn-bounds")
@@ -90,6 +93,8 @@ def build_parser():
     p = csub.add_parser("sylow2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
+    p.add_argument("--cap", type=int, default=None,
+                   help="element cap of the Sylow 2-subgroup closure")
     _add_common(p)
 
     planecmd = sub.add_parser("plane", help="plane construction")
@@ -114,12 +119,7 @@ def _sylow2_reports(args):
     from .matgroup import verify_sylowtwoingln
 
     statements = [args.statement] if args.statement else [1, 2, 3, 4, 5]
-    jobs = [(s, args.n, args.q) for s in statements]
-    return _run_jobs(
-        lambda job: verify_sylowtwoingln(job[0], job[1], job[2], cap=args.cap),
-        jobs,
-        args.jobs,
-    )
+    return [verify_sylowtwoingln(s, args.n, args.q, cap=args.cap) for s in statements]
 
 
 def _tower_reports(args):
@@ -170,13 +170,6 @@ def _quaternion_reports(args):
     from .acceptance_instances import quaternion_battery
 
     return quaternion_battery()
-
-
-def _run_jobs(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 # -- output ------------------------------------------------------------------

@@ -129,13 +129,6 @@ def generalized_quaternion(order):
     return group
 
 
-def semidihedral_32():
-    """The Sylow 2-subgroup of GL_2(7): semidihedral of order 32."""
-    from .matgroup import sylow2_gl2
-
-    return sylow2_gl2(7).group
-
-
 def wreath_c2_c2():
     """C_2 wreath C_2 (dihedral of order 8) on wreath-pair elements."""
     c2 = Perm.from_cycles(2, (0, 1))
@@ -172,9 +165,3 @@ def diagonal_subgroup(G, twist=None):
     gens = [DirectTuple((g, mapped[g])) for g in G.gens]
     elements = [DirectTuple((g, mapped[g])) for g in G.elements]
     return FiniteGroup._from_elements(elements, gens, name="diagonal")
-
-
-def graph_subgroup(G, hom_images):
-    """{(g, phi(g))} for a homomorphism given on generators via closure."""
-    gens = [DirectTuple((g, img)) for g, img in hom_images.items()]
-    return closure(gens)

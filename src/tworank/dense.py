@@ -149,8 +149,10 @@ class DenseGroup:
         inv = self.inv_table()
         return [(self.lrow(j), self.rrow(inv[j])) for j in gen_idxs]
 
-    def class_orbit(self, i):
-        rows = self.conj_rows(self.gen_idxs)
+    def class_orbit(self, i, gen_idxs=None):
+        """The conjugacy class of index i under the subgroup generated by
+        gen_idxs (the whole group by default), as a list of indices."""
+        rows = self.conj_rows(self.gen_idxs if gen_idxs is None else gen_idxs)
         orbit = dict.fromkeys([i])
         queue = deque([i])
         while queue:

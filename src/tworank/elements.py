@@ -380,14 +380,3 @@ class WreathElem(GroupElement):
 
     def __repr__(self):
         return f"[{', '.join(repr(a) for a in self.base)}; {self.top!r}]"
-
-
-def same_shape(x, y):
-    """True when x and y live in the same variant family and can multiply."""
-    if type(x) is not type(y):
-        return False
-    try:
-        x * y
-    except (ValueError, TypeError):
-        return False
-    return True

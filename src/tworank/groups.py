@@ -2,16 +2,18 @@
 
 Groups are given by generators; the element set is materialized once by a
 breadth-first product closure (deterministic order: identity first, then
-insertion order driven by the sorted generator list) and shared read-only
+insertion order driven by the sorted generator list) and never changes
 afterwards.  Everything downstream -- centralizers, conjugacy classes,
-Sylow subgroups, normal-subgroup lattices, quotients -- is exhaustive and
-exact; caps abort with ResourceLimitError rather than subsample.
+Sylow subgroups, normal-subgroup lattices, derived subgroups, quotients --
+is exhaustive and exact; caps abort with ResourceLimitError rather than
+subsample.  Normal subgroups and derived subgroups are closed on the
+integer-indexed DenseGroup view (dense.py), not on element objects.
 """
 
-import threading
 from collections import deque
 from itertools import combinations
 
+from .dense import DenseGroup
 from .errors import ResourceLimitError
 from .partarith import factorize, part_pow
 
@@ -40,8 +42,8 @@ def _bfs_closure(seeds, gens, cap):
 class FiniteGroup:
     """A finite group generated by explicit elements.
 
-    Immutable once materialized; materialization is synchronized so the
-    group can be shared across threads.
+    The element set is closed once, on first use, and never changes
+    afterwards.
     """
 
     def __init__(self, generators, cap=DEFAULT_ELEMENT_CAP, name=None):
@@ -62,7 +64,6 @@ class FiniteGroup:
         self.name = name
         self._elements = None
         self._element_set = None
-        self._lock = threading.Lock()
 
     @classmethod
     def _from_elements(cls, elements, generators, cap=DEFAULT_ELEMENT_CAP, name=None):
@@ -79,11 +80,9 @@ class FiniteGroup:
 
     def materialize(self):
         if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    elems = _bfs_closure([self.identity], self.gens, self.cap)
-                    self._elements = tuple(elems)
-                    self._element_set = frozenset(elems)
+            elems = _bfs_closure([self.identity], self.gens, self.cap)
+            self._elements = tuple(elems)
+            self._element_set = frozenset(elems)
         return self
 
     @property
@@ -221,19 +220,6 @@ class FiniteGroup:
 
     # -- normal structure -------------------------------------------------------
 
-    def _span(self, needed):
-        """Subgroup generated by `needed`, built with a greedily chosen
-        small generating subset.  Returns (element list, generators)."""
-        gens = []
-        current = {self.identity}
-        elems = [self.identity]
-        for x in needed:
-            if x not in current:
-                gens.append(x)
-                elems = _bfs_closure(elems, gens, self.cap)
-                current = set(elems)
-        return elems, gens
-
     def normal_subgroups(self, enum_cap=DEFAULT_NORMAL_ENUM_CAP):
         """All normal subgroups: joins of normal closures of conjugacy
         classes.  Capped by group order; exact within the cap."""
@@ -242,8 +228,6 @@ class FiniteGroup:
                 f"normal-subgroup enumeration capped at order {enum_cap}",
                 partial=self.order,
             )
-        from .dense import DenseGroup
-
         D = DenseGroup(self)
         atoms = []
         for cls in D.classes():
@@ -307,8 +291,11 @@ class FiniteGroup:
         closed = set()
         for c in comms:
             closed.update(self.conj_class(c))
-        elems, gens = self._span(sorted(closed, key=lambda g: g.key()))
-        return FiniteGroup._from_elements(elems, gens, cap=self.cap, name="derived")
+        D = DenseGroup(self)
+        elems, gens = D.span(D.index[c] for c in sorted(closed, key=lambda g: g.key()))
+        derived = D.subgroup_from_indices(elems, gens)
+        derived.name = "derived"
+        return derived
 
     # -- quotients -------------------------------------------------------
 
@@ -392,50 +379,10 @@ class Homomorphism:
         elems = [g for g in self.domain.elements if self(g).is_identity()]
         return FiniteGroup._from_elements(elems, [], cap=self.domain.cap, name="kernel")
 
-    def image(self):
-        elems = dict.fromkeys(self(g) for g in self.domain.elements)
-        return FiniteGroup._from_elements(list(elems), list(self.gen_images.values()), cap=self.domain.cap, name="image")
-
 
 def closure(generators, cap=DEFAULT_ELEMENT_CAP):
     """Materialized group generated by `generators` (BFS product closure)."""
     return FiniteGroup(list(generators), cap=cap).materialize()
-
-
-def centralizer(H, g):
-    return H.centralizer(g)
-
-
-def conj_class(H, g):
-    return H.conj_class(g)
-
-
-def involutions(H):
-    return H.involutions()
-
-
-def sylow_two(H):
-    return H.sylow_two()
-
-
-def normal_subgroups(H, enum_cap=DEFAULT_NORMAL_ENUM_CAP):
-    return H.normal_subgroups(enum_cap)
-
-
-def odd_core(H, enum_cap=DEFAULT_NORMAL_ENUM_CAP):
-    return H.odd_core(enum_cap)
-
-
-def fitting(H, enum_cap=DEFAULT_NORMAL_ENUM_CAP):
-    return H.fitting(enum_cap)
-
-
-def quotient(H, N):
-    return H.quotient(N)
-
-
-def two_rank(H):
-    return H.two_rank()
 
 
 def is_generalized_quaternion(P):

@@ -243,40 +243,44 @@ def all_subgroups_oracle(D: DenseGroup):
 # The bound check itself
 # ---------------------------------------------------------------------------
 
-def _dense_check(D: DenseGroup, elems, gens, ctx: GLContext, source="stream") -> LemmaAVerdict:
+def involution_classes(invs, orbit):
+    """(representative, class size) for each conjugacy class met while
+    walking `invs` in order; orbit(g) is the class of g."""
+    seen = set()
+    for g in invs:
+        if g not in seen:
+            cls = orbit(g)
+            seen.update(cls)
+            yield g, len(cls)
+
+
+def _verdict(order, gen_reprs, invs, orbit, show, ctx, source) -> LemmaAVerdict:
+    """The involution class with the least (heart part, index) against the
+    geometric bound; the first class met wins ties.  show(g) renders the
+    witness."""
     bound = geom_sum(ctx.q, ctx.n)
-    order = len(elems)
-    gen_reprs = tuple(repr(D.elems[g]) for g in gens)
-    orders = D.orders()
-    invs = [i for i in elems if orders[i] == 2]
     if order % 2:
         return LemmaAVerdict(order, gen_reprs, 0, ODD_SKIP, bound, source=source)
-    conj_rows = D.conj_rows(gens)
-    seen = set()
-    best = None
-    for i in sorted(invs):
-        if i in seen:
-            continue
-        orbit = {i}
-        queue = deque([i])
-        while queue:
-            x = queue.popleft()
-            for lr, rr in conj_rows:
-                y = lr[rr[x]]
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        seen.update(orbit)
-        index = len(orbit)
-        part = heart_coprime(index, ctx.p)
-        if best is None or (part, index) < best[:2]:
-            best = (part, index, i)
-    part, index, witness = best
+    witness, index = min(
+        involution_classes(invs, orbit), key=lambda c: (heart_coprime(c[1], ctx.p), c[1])
+    )
+    part = heart_coprime(index, ctx.p)
     verdict = SATISFIED if part <= bound else VIOLATED_TAG
     return LemmaAVerdict(
         order, gen_reprs, len(invs), verdict, bound,
-        best_involution=repr(D.elems[witness]), index=index, index_part=part,
+        best_involution=show(witness), index=index, index_part=part,
         source=source,
+    )
+
+
+def _dense_check(D: DenseGroup, elems, gens, ctx: GLContext, source="stream") -> LemmaAVerdict:
+    """lemma_a_check on a subgroup of D given by element and generator
+    indices; involutions are walked in index order."""
+    orders = D.orders()
+    invs = sorted(i for i in elems if orders[i] == 2)
+    return _verdict(
+        len(elems), tuple(repr(D.elems[g]) for g in gens), invs,
+        lambda i: D.class_orbit(i, gens), lambda i: repr(D.elems[i]), ctx, source,
     )
 
 
@@ -286,29 +290,10 @@ def lemma_a_check(H: FiniteGroup, ctx: GLContext, source="direct") -> LemmaAVerd
     The reported involution minimizes the p'-heart part of its centralizer
     index over all involutions of H (conjugates share an index, so class
     representatives suffice)."""
-    bound = geom_sum(ctx.q, ctx.n)
     H.materialize()
-    gen_reprs = tuple(repr(g) for g in H.gens)
-    if H.order % 2:
-        return LemmaAVerdict(H.order, gen_reprs, 0, ODD_SKIP, bound, source=source)
-    invs = H.involutions()
-    seen = set()
-    best = None
-    for g in invs:
-        if g in seen:
-            continue
-        orbit = H.conj_class(g)
-        seen.update(orbit)
-        index = len(orbit)
-        part = heart_coprime(index, ctx.p)
-        if best is None or (part, index) < best[:2]:
-            best = (part, index, g)
-    part, index, witness = best
-    verdict = SATISFIED if part <= bound else VIOLATED_TAG
-    return LemmaAVerdict(
-        H.order, gen_reprs, len(invs), verdict, bound,
-        best_involution=repr(witness), index=index, index_part=part,
-        source=source,
+    invs = H.involutions() if H.order % 2 == 0 else ()
+    return _verdict(
+        H.order, tuple(repr(g) for g in H.gens), invs, H.conj_class, repr, ctx, source,
     )
 
 
@@ -521,7 +506,8 @@ def lemma_a_campaign(
             except ResourceLimitError as exc:
                 return (
                     VerificationReport(lemma_id, params, SKIPPED,
-                                       counts={"partial": exc.partial or 0}, seed=seed),
+                                       counts={"partial": exc.partial or 0},
+                                       elapsed_ms=clock.elapsed_ms, seed=seed),
                     [],
                 )
         elif mode == "random":
@@ -694,27 +680,21 @@ def sn_bound_check(kind: str, H: FiniteGroup) -> VerificationReport:
     with stopwatch() as clock:
         if not is_primitive(H):
             return VerificationReport("sn-bounds", params, NOT_APPLICABLE,
-                                      counts={"reason_primitive": 0})
+                                      counts={"reason_primitive": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         if kind == "oddsn":
             if H.order % 2 == 0:
                 return VerificationReport("sn-bounds", params, NOT_APPLICABLE,
-                                          counts={"reason_parity": 0})
+                                          counts={"reason_parity": 0},
+                                          elapsed_ms=clock.elapsed_ms)
             ok = _lt_pow_log2(H.order, degree)
             counts = {"order": H.order, "degree": degree}
         else:
             if H.order % 2:
                 return VerificationReport("sn-bounds", params, NOT_APPLICABLE,
-                                          counts={"reason_parity": 0})
-            invs = H.involutions()
-            seen = set()
-            best = None
-            for g in invs:
-                if g in seen:
-                    continue
-                orbit = H.conj_class(g)
-                seen.update(orbit)
-                if best is None or len(orbit) < best:
-                    best = len(orbit)
+                                          counts={"reason_parity": 0},
+                                          elapsed_ms=clock.elapsed_ms)
+            best = min(size for _, size in involution_classes(H.involutions(), H.conj_class))
             ok = best * best < 42 ** (degree - 2)
             counts = {"best_index": best, "bound_squared": 42 ** (degree - 2)}
     return VerificationReport(

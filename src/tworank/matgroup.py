@@ -422,8 +422,9 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
     with stopwatch() as clock:
         try:
             ctx = gl_context_q(n, q)
-        except ValueError as exc:
-            return VerificationReport(lemma_id, params, NOT_APPLICABLE, counts={}, witness=None)
+        except ValueError:
+            return VerificationReport(lemma_id, params, NOT_APPLICABLE,
+                                      elapsed_ms=clock.elapsed_ms)
         if not ctx.hypothesis_ok() or not _statement_conditions(statement, n, q):
             return VerificationReport(
                 lemma_id,
@@ -433,6 +434,7 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
                     "hypothesis_ok": int(ctx.hypothesis_ok()),
                     "side_conditions_ok": int(_statement_conditions(statement, n, q)),
                 },
+                elapsed_ms=clock.elapsed_ms,
             )
         bound = geom_sum(q, n)
         counts = {"bound": bound}
@@ -562,7 +564,8 @@ def monomial_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
 
 def singer_element(ctx: GLContext) -> Mat:
     """A cyclic torus generator of order q^n - 1: the companion matrix of
-    the first primitive monic polynomial of degree n."""
+    the first primitive monic polynomial of degree n, scanning the
+    coefficients c_{n-1}, ..., c_0 lexicographically."""
     from itertools import product as iter_product
 
     from .partarith import factorize
@@ -578,6 +581,8 @@ def singer_element(ctx: GLContext) -> Mat:
         c = tuple(reversed(coeffs))
         if c[0] == 0:
             continue  # x divides it
+        if n > 1 and _has_root(field, c):
+            continue  # a linear factor: reducible, so not primitive
         vals = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -592,6 +597,18 @@ def singer_element(ctx: GLContext) -> Mat:
         if all(companion ** (full // r) != ident for r in prime_divs):
             return companion
     raise RuntimeError(f"no primitive polynomial of degree {n} over GF({q})")
+
+
+def _has_root(field, c):
+    """Whether x^n + c_{n-1} x^{n-1} + ... + c_0 vanishes at some x in GF(q)."""
+    add, mul = field.add_code, field.mul_code
+    for x in range(field.q):
+        acc = 1
+        for ci in reversed(c):
+            acc = add(mul(acc, x), ci)
+        if acc == 0:
+            return True
+    return False
 
 
 def singer_normalizer(ctx: GLContext, cap=None) -> FiniteGroup:

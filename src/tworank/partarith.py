@@ -173,16 +173,6 @@ def geom_sum(q: int, n: int) -> int:
     return (q**n - 1) // (q - 1)
 
 
-def two_adic_valuation(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n}")
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
 def gl_order(n: int, q: int) -> int:
     """|GL_n(q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
     if n < 1:

@@ -18,6 +18,7 @@ from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import field_make
 from .groups import FiniteGroup, closure
+from .matgroup import GLContext, singer_element
 from .partarith import prime_power_decompose
 from .report import (
     NOT_APPLICABLE,
@@ -355,46 +356,13 @@ class PlaneGroup:
 
 def singer_collineation(plane: IncidencePlane) -> Collineation:
     """A collineation of order q^2+q+1 acting regularly on points: induced
-    by the companion matrix of the first primitive cubic over GF(q)."""
-    F = plane.field
-    q = F.q
-    full = q**3 - 1
-    from .partarith import factorize
-
-    prime_divs = list(factorize(full))
-    for c2 in range(q):
-        for c1 in range(q):
-            for c0 in range(1, q):
-                has_root = any(
-                    F.add_code(
-                        F.add_code(
-                            F.add_code(F.mul_code(F.mul_code(x, x), x), F.mul_code(c2, F.mul_code(x, x))),
-                            F.mul_code(c1, x),
-                        ),
-                        c0,
-                    )
-                    == 0
-                    for x in range(q)
-                )
-                if has_root:
-                    continue
-                companion = Mat.from_rows(
-                    F,
-                    [
-                        [0, 0, F.neg_code(c0)],
-                        [1, 0, F.neg_code(c1)],
-                        [0, 1, F.neg_code(c2)],
-                    ],
-                )
-                ident = Mat.identity_of(F, 3)
-                if companion**full != ident:
-                    continue
-                if all(companion ** (full // r) != ident for r in prime_divs):
-                    coll = Collineation.from_matrix(plane, companion)
-                    if coll.order() != q * q + q + 1:
-                        raise RuntimeError("Singer point order is off")
-                    return coll
-    raise RuntimeError(f"no primitive cubic found over GF({q})")
+    by the Singer element of GL_3(q), the companion matrix of the first
+    primitive cubic over GF(q)."""
+    coll = Collineation.from_matrix(plane, singer_element(GLContext(3, plane.field)))
+    q = plane.order
+    if coll.order() != q * q + q + 1:
+        raise RuntimeError("Singer point order is off")
+    return coll
 
 
 def gl3_collineation_generators(plane: IncidencePlane):
@@ -441,21 +409,25 @@ def counting_identity_check(G: PlaneGroup, g) -> VerificationReport:
         u = isqrt(x)
         if u * u != x or u < 2:
             return VerificationReport("plane-counting", params, NOT_APPLICABLE,
-                                      counts={"reason_square_order": 0})
+                                      counts={"reason_square_order": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         if g.is_identity() or not (g * g).is_identity():
             return VerificationReport("plane-counting", params, NOT_APPLICABLE,
-                                      counts={"reason_involution": 0})
+                                      counts={"reason_involution": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         if not G.contains_certainly(g):
             raise ValueError("the candidate involution is not known to lie in the group")
         if not G.is_transitive():
             return VerificationReport("plane-counting", params, NOT_APPLICABLE,
-                                      counts={"reason_transitive": 0})
+                                      counts={"reason_transitive": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         baer_count = u * u + u + 1
         try:
             cls = G.conj_class_of(g)
         except ResourceLimitError as exc:
             return VerificationReport("plane-counting", params, SKIPPED,
-                                      counts={"partial": exc.partial or 0})
+                                      counts={"partial": exc.partial or 0},
+                                      elapsed_ms=clock.elapsed_ms)
         n_pts = plane.num_points
         for h in cls:
             fixed = sum(1 for i in range(n_pts) if h.img[i] == i)
@@ -463,6 +435,7 @@ def counting_identity_check(G: PlaneGroup, g) -> VerificationReport:
                 return VerificationReport(
                     "plane-counting", params, NOT_APPLICABLE,
                     counts={"reason_conjugate_fixes": fixed, "expected": baer_count},
+                    elapsed_ms=clock.elapsed_ms,
                 )
         class_size = len(cls)
         fix_alpha = sum(1 for h in cls if h.img[0] == 0)
@@ -519,7 +492,8 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
                 big = G.group()
             except ResourceLimitError as exc:
                 return VerificationReport("fix-transitivity", params, SKIPPED,
-                                          counts={"partial": exc.partial or 0})
+                                          counts={"partial": exc.partial or 0},
+                                          elapsed_ms=clock.elapsed_ms)
             degree = G.degree
         else:
             big = G.materialize()
@@ -599,7 +573,8 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
     with stopwatch() as clock:
         if not G.is_transitive():
             return None, VerificationReport("odd-transitive", params, NOT_APPLICABLE,
-                                            counts={"reason_transitive": 0})
+                                            counts={"reason_transitive": 0},
+                                            elapsed_ms=clock.elapsed_ms)
         try:
             big = G.group()
             universe = list(big.elements)

@@ -107,10 +107,12 @@ def verify_oddnormal(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport:
     with stopwatch() as clock:
         if g not in H or g.is_identity() or not (g * g).is_identity():
             return VerificationReport("odd-normal-index", params, NOT_APPLICABLE,
-                                      counts={"reason_involution": 0})
+                                      counts={"reason_involution": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         if N.order % 2 == 0 or not N.is_normal_in(H):
             return VerificationReport("odd-normal-index", params, NOT_APPLICABLE,
-                                      counts={"reason_odd_normal": 0})
+                                      counts={"reason_odd_normal": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         lhs = _index_exact(H.order, H.centralizer(g).order, "|H:C_H(g)|")
         idx_n = _index_exact(N.order, _centralizer_order_in(N, g), "|N:C_N(g)|")
         if N.order == 1:
@@ -142,10 +144,12 @@ def verify_sylow_fusion(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport
     with stopwatch() as clock:
         if g not in N or g.is_identity() or not (g * g).is_identity():
             return VerificationReport("sylow-fusion-index", params, NOT_APPLICABLE,
-                                      counts={"reason_involution_in_N": 0})
+                                      counts={"reason_involution_in_N": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         if not N.is_normal_in(H):
             return VerificationReport("sylow-fusion-index", params, NOT_APPLICABLE,
-                                      counts={"reason_normal": 0})
+                                      counts={"reason_normal": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         P = N.sylow_two()
         pset = P.element_set
         class_h = H.conj_class(g)
@@ -177,16 +181,19 @@ def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
     with stopwatch() as clock:
         if tower.k is None:
             return VerificationReport("tower-index", params, NOT_APPLICABLE,
-                                      counts={"reason_all_odd": 0})
+                                      counts={"reason_all_odd": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         if g not in tower.H or g.is_identity() or not (g * g).is_identity():
             return VerificationReport("tower-index", params, NOT_APPLICABLE,
-                                      counts={"reason_involution": 0})
+                                      counts={"reason_involution": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         k = tower.k
         g_k = tower.g_image(g, k)
         T_k = tower.kernels[k - 1]
         if g_k.is_identity() or g_k not in T_k:
             return VerificationReport("tower-index", params, NOT_APPLICABLE,
-                                      counts={"reason_gk_in_Tk": 0})
+                                      counts={"reason_gk_in_Tk": 0},
+                                      elapsed_ms=clock.elapsed_ms)
         prod = 1
         factor_list = []
         for i in range(1, k + 1):
@@ -244,7 +251,7 @@ def _library_blocks():
         ("F55", lambda: lib.frobenius_padp(11, 5), False, True),
         ("SL2_3", lambda: lib.sl2(3), True, False),
         ("V4", lambda: lib.elementary_abelian_two(2), True, False),
-        ("W22", lambda: lib.wreath_c2_c2, True, False),
+        ("W22", lib.wreath_c2_c2, True, False),
     ]
 
 
@@ -256,11 +263,7 @@ class _InstanceSampler:
         blocks = _library_blocks()
         self.named = {}
         for name, build, has_inv, odd in blocks:
-            if name == "W22":
-                group = lib.wreath_c2_c2()
-            else:
-                group = build()
-            self.named[name] = (group, has_inv, odd)
+            self.named[name] = (build(), has_inv, odd)
         self.names = sorted(self.named)
         self._normal_cache = {}
 

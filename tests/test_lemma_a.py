@@ -131,8 +131,8 @@ def test_dense_and_object_checks_agree():
         sub = closure([D.elems[i] for i in (cls.gens or (D.id_idx,))])
         obj = lemma_a_check(sub, ctx)
         assert sub.order == dense.subgroup_order
-        assert (dense.verdict, dense.index, dense.index_part) == (
-            obj.verdict, obj.index, obj.index_part,
+        assert (dense.verdict, dense.index, dense.index_part, dense.num_involutions) == (
+            obj.verdict, obj.index, obj.index_part, obj.num_involutions,
         )
 
 

@@ -3,6 +3,7 @@ import pytest
 from tworank.acceptance_instances import pair_action_of_s4, singer_normalizer_group
 from tworank.elements import Mat, Perm
 from tworank.groups import closure
+from tworank.matgroup import GLContext, singer_element
 from tworank.plane import (
     Collineation,
     PlaneGroup,
@@ -130,6 +131,24 @@ def test_singer_collineation():
     s = singer_collineation(P)
     assert s.order() == 91
     assert len(s.point_perm.cycles()) == 1
+
+
+@pytest.mark.parametrize(
+    "q, rows",
+    [
+        (7, ((0, 0, 5), (1, 0, 4), (0, 1, 0))),
+        (9, ((0, 0, 8), (1, 0, 2), (0, 1, 0))),
+        (13, ((0, 0, 7), (1, 0, 12), (0, 1, 0))),
+        (25, ((0, 0, 23), (1, 0, 4), (0, 1, 0))),
+    ],
+)
+def test_singer_matrix_pinned(q, rows):
+    """The first primitive cubic's companion matrix, as field codes, and
+    the collineation it induces."""
+    P = pg2(q)
+    s = singer_element(GLContext(3, P.field))
+    assert s.rows() == rows
+    assert singer_collineation(P) == Collineation.from_matrix(P, s)
 
 
 def test_singer_normalizer_group_structure():

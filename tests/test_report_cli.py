@@ -7,8 +7,21 @@ from types import SimpleNamespace
 
 import pytest
 
+from tworank import constructions as lib
 from tworank import report
 from tworank.cli import run
+from tworank.groups import closure
+from tworank.lemma_a import lemma_a_campaign, sn_bound_check
+from tworank.matgroup import verify_sylowtwoingln
+from tworank.plane import (
+    PlaneGroup,
+    counting_identity_check,
+    fixpoint_transitivity_check,
+    frobenius_collineation,
+    gl3_collineation_generators,
+    odd_transitive_search,
+    pg2,
+)
 from tworank.report import (
     NOT_APPLICABLE,
     SKIPPED,
@@ -19,6 +32,14 @@ from tworank.report import (
     exit_code,
     load_reports,
 )
+from tworank.tower import (
+    build_tower,
+    verify_oddnormal,
+    verify_sylow_fusion,
+    verify_tower_identity,
+)
+
+S3 = lib.symmetric(3)
 
 
 def make(verdict, **kw):
@@ -138,6 +159,7 @@ def test_cli_usage_errors():
     assert run(["frobnicate"]) == 3
     assert run(["verify", "sylow2", "--n", "2"]) == 3  # missing --q
     assert run(["verify", "fixtrans", "--q", "25"]) == 3  # battery is built on PG(2, 9) only
+    assert run(["verify", "tower", "--cap", "5"]) == 3  # --cap only where a cap is read
 
 
 def test_cli_markdown_format(capsys):
@@ -182,9 +204,8 @@ def test_cli_lemma_a_random_csv(tmp_path, capsys):
 def test_cli_jobs_flag(capsys):
     code = run(["verify", "sylow2", "--n", "2", "--q", "7", "--jobs", "2",
                 "--stable-output"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert len(out.strip().splitlines()) == 5
+    assert code == 3  # the flag is gone
+    assert capsys.readouterr().out == ""
 
 
 @pytest.fixture
@@ -209,3 +230,50 @@ def test_elapsed_ms_on_odd_transitive_report(ticking_clock):
     _, rep = odd_transitive_search(PlaneGroup(P, [singer_collineation(P)]))
     assert rep.verdict == VERIFIED
     assert rep.elapsed_ms == 1000
+
+
+
+def _intransitive_pg9():
+    fr = frobenius_collineation(pg2(9))
+    return PlaneGroup(fr.plane, [fr]), fr
+
+
+def _fixtrans_over_cap():
+    P = pg2(3)
+    G = PlaneGroup(P, gl3_collineation_generators(P), cap=10)
+    return fixpoint_transitivity_check(G, closure([G.gens[0]]))
+
+
+def _tower_all_odd():
+    H = lib.direct_product(lib.cyclic(3), lib.cyclic(3))
+    return verify_tower_identity(build_tower(H, 2), H.identity)
+
+
+@pytest.mark.parametrize(
+    "make_report, verdict",
+    [
+        pytest.param(lambda: lemma_a_campaign(2, 13, mode="exhaustive")[0], SKIPPED,
+                     id="lemma-a-over-cap"),
+        pytest.param(lambda: sn_bound_check("oddsn", lib.symmetric(4)), NOT_APPLICABLE,
+                     id="sn-bounds-even-order"),
+        pytest.param(lambda: sn_bound_check("sninvolutions", lib.cyclic(4)), NOT_APPLICABLE,
+                     id="sn-bounds-imprimitive"),
+        pytest.param(lambda: counting_identity_check(*_intransitive_pg9()), NOT_APPLICABLE,
+                     id="counting-intransitive"),
+        pytest.param(lambda: odd_transitive_search(_intransitive_pg9()[0])[1], NOT_APPLICABLE,
+                     id="odd-transitive-intransitive"),
+        pytest.param(_fixtrans_over_cap, SKIPPED, id="fixtrans-over-cap"),
+        pytest.param(lambda: verify_sylowtwoingln(1, 2, 7), NOT_APPLICABLE,
+                     id="sylow2-side-conditions"),
+        pytest.param(lambda: verify_oddnormal(S3, S3, S3.identity), NOT_APPLICABLE,
+                     id="odd-normal-identity"),
+        pytest.param(lambda: verify_sylow_fusion(S3, S3, S3.identity), NOT_APPLICABLE,
+                     id="sylow-fusion-identity"),
+        pytest.param(_tower_all_odd, NOT_APPLICABLE, id="tower-all-odd"),
+    ],
+)
+def test_elapsed_ms_on_early_return(ticking_clock, make_report, verdict):
+    """Reports returned from inside a stopwatch block read the live clock."""
+    r = make_report()
+    assert r.verdict == verdict
+    assert r.elapsed_ms > 0

@@ -1,0 +1,30 @@
+"""Byte-for-byte pins on the stable output of the cheap CLI batteries.
+
+Each digest is the sha256 of the command's stdout under --stable-output.
+A refactor that keeps behaviour leaves every digest as it is; a change
+that means to alter output updates the digest and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from tworank.cli import run
+
+DIGESTS = [
+    ("verify sylow2 --n 2 --q 7", "3d16b7b0406bd24b933dc177a2c4c427831096dd674454573db1b0dc0f1de021"),
+    ("verify sn-bounds", "a3509adbde42cb82e99acf36f32703a9a2320f127208d6ad92c998788828197e"),
+    ("verify quaternion", "04c8b674cda54cd7c4168a32acece40614dc79bc736f310ec47c768897960d9f"),
+    ("verify fixtrans", "116f2e6ab2e8399c62416b7ef3b863aa1337daf64c6633313c626f0796291262"),
+    ("verify counting --q 9", "e66c6d8f237c1a79ef1679060a03f6330d687b09eb27df5a38bfc4ef607019e8"),
+    ("census sylow2 --n 4 --q 7", "01f17dab7348f8965d355a5665f41a37c047865f7af764122bc36e2a954f12fd"),
+    ("plane build --q 9", "ddc403a5970136d5ebb39349208e52dea6bd70a5582c1a5bac992dd418643413"),
+]
+
+
+@pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])
+def test_stable_output_digest(command, digest, capsys):
+    code = run(command.split() + ["--stable-output"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
