@@ -24,7 +24,7 @@ from .plane import (
     odd_transitive_search,
     pg2,
 )
-from .report import VERIFIED, VIOLATED, VerificationReport, stopwatch
+from .report import Check
 
 
 def pair_action_of_s4():
@@ -68,7 +68,7 @@ def singer_normalizer_group(plane):
 
 def _stabilizer_subgroups(G, alpha=0):
     """Subgroups of the point stabilizer keyed by order (cyclic pieces)."""
-    stab = G.point_stabilizer(alpha) if isinstance(G, PlaneGroup) else None
+    stab = G.point_stabilizer(alpha)
     out = {}
     for h in stab.elements:
         d = h.order()
@@ -175,19 +175,12 @@ def quaternion_battery():
         ("C16", lib.cyclic(16), "TwoGroup"),
     ]
     for name, G, expected in cases:
-        with stopwatch() as clock:
-            tag, info = classify_quaternion_structure(G)
-            ok = tag == expected
-        reports.append(
-            VerificationReport(
-                "quaternion-structure",
-                {"instance": name, "expected": expected, "tag": tag, **{k: str(v) for k, v in info.items()}},
-                VERIFIED if ok else VIOLATED,
-                counts={"match": int(ok)},
-                witness=None if ok else {"tag": tag, "info": {k: str(v) for k, v in info.items()}},
-                elapsed_ms=clock.elapsed_ms,
-            )
-        )
+        check = Check("quaternion-structure", {"instance": name, "expected": expected})
+        tag, info = classify_quaternion_structure(G)
+        info = {k: str(v) for k, v in info.items()}
+        check.params.update({"tag": tag, **info})
+        ok = tag == expected
+        reports.append(check.result(ok, {"match": int(ok)}, {"tag": tag, "info": info}))
     plane = pg2(9)
     SN = singer_normalizer_group(plane)
     witness, rep = odd_transitive_search(SN)
@@ -205,26 +198,18 @@ def counting_battery(q=9):
     fr = frobenius_collineation(plane)
     G = PlaneGroup(plane, gl3_collineation_generators(plane) + [fr])
     reports = [counting_identity_check(G, fr)]
-    with stopwatch() as clock:
-        fs = fixed_structure(fr)
-        u = int(round(q**0.5))
-        ok = (
-            fs.num_points == u * u + u + 1
-            and fs.subplane_order == u
-            and fs.spectrum == "u2+u+1"
-        )
-    reports.append(
-        VerificationReport(
-            "baer-fixed-structure",
-            {"q": q},
-            VERIFIED if ok else VIOLATED,
-            counts={
-                "fixed_points": fs.num_points,
-                "fixed_lines": fs.num_lines,
-                "subplane_order": fs.subplane_order or 0,
-            },
-            witness=None if ok else {"fixed_points": fs.num_points},
-            elapsed_ms=clock.elapsed_ms,
-        )
+    check = Check("baer-fixed-structure", {"q": q})
+    fs = fixed_structure(fr)
+    u = int(round(q**0.5))
+    ok = (
+        fs.num_points == u * u + u + 1
+        and fs.subplane_order == u
+        and fs.spectrum == "u2+u+1"
     )
+    counts = {
+        "fixed_points": fs.num_points,
+        "fixed_lines": fs.num_lines,
+        "subplane_order": fs.subplane_order or 0,
+    }
+    reports.append(check.result(ok, counts, {"fixed_points": fs.num_points}))
     return reports

@@ -20,17 +20,42 @@ resource-limited skip; 3 usage error.
 import argparse
 import json
 import sys
+from math import isqrt
 
 from .errors import ResourceLimitError
-from .report import (
-    SKIPPED,
-    VerificationReport,
-    dump_reports,
-    exit_code,
-    load_reports,
-)
+from .report import Check, dump_reports, exit_code, load_reports
 
 USAGE_ERROR = 3
+
+
+# argparse `type=` callables: a bad value is a usage error (exit 3)
+
+
+def odd_prime_power(text):
+    from .partarith import prime_power_decompose
+
+    q = int(text)
+    try:
+        p, _ = prime_power_decompose(q)
+    except ValueError:
+        p = 2
+    if p == 2:
+        raise argparse.ArgumentTypeError(f"{text} is not an odd prime power")
+    return q
+
+
+def odd_prime_power_square(text):
+    q = odd_prime_power(text)
+    if isqrt(q) ** 2 != q:
+        raise argparse.ArgumentTypeError(f"{text} is not the square of an odd prime power")
+    return q
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
+    return n
 
 
 def _add_common(parser):
@@ -62,7 +87,8 @@ def build_parser():
     _add_common(p)
 
     p = vsub.add_parser("counting")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=odd_prime_power_square, required=True,
+                   help="the plane order: the square of an odd prime power")
     _add_common(p)
 
     p = vsub.add_parser("fixtrans")
@@ -71,8 +97,8 @@ def build_parser():
     _add_common(p)
 
     p = vsub.add_parser("lemma-a")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--q", type=odd_prime_power, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
@@ -91,8 +117,8 @@ def build_parser():
     census = sub.add_parser("census", help="export censuses")
     csub = census.add_subparsers(dest="what")
     p = csub.add_parser("sylow2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--q", type=odd_prime_power, required=True)
     p.add_argument("--cap", type=int, default=None,
                    help="element cap of the Sylow 2-subgroup closure")
     _add_common(p)
@@ -100,7 +126,7 @@ def build_parser():
     planecmd = sub.add_parser("plane", help="plane construction")
     psub = planecmd.add_subparsers(dest="what")
     p = psub.add_parser("build")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=odd_prime_power, required=True)
     _add_common(p)
 
     reportcmd = sub.add_parser("report", help="report file utilities")
@@ -246,13 +272,11 @@ def run(argv) -> int:
     if args.command == "census" and args.what == "sylow2":
         from .matgroup import CENSUS_CSV_HEADER, census_csv_row, sylow2_gl
 
+        check = Check("sylow2-census", {"n": args.n, "q": args.q})
         try:
             desc = sylow2_gl(args.n, args.q, cap=args.cap)
         except ResourceLimitError as exc:
-            report = VerificationReport(
-                "sylow2-census", {"n": args.n, "q": args.q}, SKIPPED,
-                counts={"partial": exc.partial or 0},
-            )
+            report = check.skipped(exc)
             _emit(report.to_json(stable=args.stable_output), args.out)
             return exit_code([report])
         if args.format == "csv":

@@ -35,8 +35,6 @@ class DenseGroup:
         self._parent, self._via = self._schreier_tree()
         self._inv = None
         self._orders = None
-        self._classes = None
-        self._class_of = None
 
     def _schreier_tree(self):
         """BFS from the identity under the right generator rows:
@@ -165,24 +163,15 @@ class DenseGroup:
         return list(orbit)
 
     def classes(self):
-        """All conjugacy classes as index lists, with a class-id table."""
-        if self._classes is None:
-            class_of = [-1] * self.n
-            classes = []
-            for i in range(self.n):
-                if class_of[i] < 0:
-                    orbit = self.class_orbit(i)
-                    cid = len(classes)
-                    for x in orbit:
-                        class_of[x] = cid
-                    classes.append(orbit)
-            self._classes = classes
-            self._class_of = class_of
-        return self._classes
-
-    def class_of(self):
-        self.classes()
-        return self._class_of
+        """All conjugacy classes as index lists, ordered by least member."""
+        seen = set()
+        classes = []
+        for i in range(self.n):
+            if i not in seen:
+                orbit = self.class_orbit(i)
+                seen.update(orbit)
+                classes.append(orbit)
+        return classes
 
     # -- conversions ------------------------------------------------------------
 

@@ -305,8 +305,7 @@ class DirectTuple(GroupElement):
         return all(a.is_identity() for a in self.parts)
 
     def project(self, start, stop=None):
-        """The sub-tuple of components [start:stop]; a single component if
-        stop is None and the slice has length one."""
+        """The components [start:stop], always as a DirectTuple."""
         parts = self.parts[start:stop]
         return DirectTuple(parts)
 

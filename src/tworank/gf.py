@@ -300,11 +300,6 @@ class FieldSpec:
             raise ValueError(f"code {code} out of range for GF({self.q})")
         return FieldElem(self, code)
 
-    def from_coeffs(self, coeffs):
-        if len(coeffs) != self.a:
-            raise ValueError(f"expected {self.a} coefficients")
-        return FieldElem(self, self.encode(coeffs))
-
     def elements(self):
         return (FieldElem(self, c) for c in range(self.q))
 

@@ -165,9 +165,6 @@ class FiniteGroup:
     def involutions(self):
         return tuple(g for g in self.elements if not g.is_identity() and (g * g).is_identity())
 
-    def element_order(self, g):
-        return g.order()
-
     def is_abelian(self):
         return all(a * b == b * a for a, b in combinations(self.gens, 2))
 
@@ -247,8 +244,9 @@ class FiniteGroup:
                 for b, bgens in list(found.items()):
                     if a >= b or a <= b:
                         continue
+                    # A is normal, so AB is a subgroup: close A under B's gens
                     jgens = tuple(agens) + tuple(bgens)
-                    join = frozenset(D.close([D.id_idx], jgens))
+                    join = frozenset(D.close(a, bgens))
                     if join not in found:
                         found[join] = jgens
                         fresh.append((join, jgens))

@@ -40,14 +40,7 @@ from .matgroup import (
     sylow2_gl,
 )
 from .partarith import geom_sum, heart_coprime
-from .report import (
-    NOT_APPLICABLE,
-    SKIPPED,
-    VERIFIED,
-    VIOLATED,
-    VerificationReport,
-    stopwatch,
-)
+from .report import Check, VerificationReport
 
 LATTICE_AMBIENT_CAP = 2500
 ORACLE_AMBIENT_CAP = 500
@@ -310,81 +303,6 @@ class StreamStats:
     candidates: int = 0
 
 
-@dataclass
-class SubgroupStream:
-    """A deduplicated stream of subgroups of an ambient group.
-
-    ExhaustiveLattice items are conjugacy-class representatives (complete
-    within the ambient cap); RandomGenerated items are deduplicated by
-    element set only, so distinct conjugates can both appear (their
-    verdicts agree, which the tests pin down).
-    """
-
-    mode: str
-    seed: int | None
-    max_order: int | None
-    max_count: int | None
-    items: list  # (source tag, FiniteGroup)
-    stats: StreamStats
-
-    def groups(self):
-        return [g for _, g in self.items]
-
-
-def subgroups(ambient, mode, seed=0, max_order=None, max_count=None) -> SubgroupStream:
-    """Stream subgroups of `ambient` (a materialized FiniteGroup).
-
-    mode='exhaustive': every subgroup up to conjugacy (ambient order
-    capped); mode='random': seeded closures of 1-3 random elements.
-    """
-    ambient.materialize()
-    if mode == "exhaustive":
-        if ambient.order > LATTICE_AMBIENT_CAP:
-            raise ResourceLimitError(
-                f"exhaustive lattice capped at ambient order {LATTICE_AMBIENT_CAP}",
-                partial=ambient.order,
-            )
-        D = DenseGroup(ambient)
-        lattice = SubgroupLattice(D)
-        classes = lattice.build()
-        items = []
-        for cls in classes:
-            if max_order is not None and cls.order > max_order:
-                continue
-            items.append(
-                ("lattice", D.subgroup_from_indices(sorted(cls.elems), cls.gens))
-            )
-            if max_count is not None and len(items) >= max_count:
-                break
-        stats = StreamStats(mode="ExhaustiveLattice", emitted=len(items))
-        return SubgroupStream("exhaustive", None, max_order, max_count, items, stats)
-    if mode == "random":
-        rng = random.Random(seed)
-        cap = max_order or ambient.order
-        want = max_count or 100
-        stats = StreamStats(mode="RandomGenerated")
-        seen = set()
-        items = []
-        while stats.emitted < want and stats.candidates < 6 * want:
-            stats.candidates += 1
-            k = rng.choices((1, 2, 3), weights=(70, 25, 5))[0]
-            gens = [rng.choice(ambient.elements) for _ in range(k)]
-            try:
-                H = closure(gens, cap=cap)
-            except ResourceLimitError:
-                stats.truncated += 1
-                continue
-            key = _group_key(H)
-            if key in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(key)
-            items.append((f"random-{k}gen", H))
-            stats.emitted += 1
-        return SubgroupStream("random", seed, max_order, max_count, items, stats)
-    raise ValueError(f"unknown stream mode {mode!r}")
-
-
 def _group_key(H: FiniteGroup):
     """Cheap dedup key: order plus a digest of the sorted element keys.
     Collisions would only merge two distinct stream entries, never alter a
@@ -485,83 +403,61 @@ def lemma_a_campaign(
     (it indicates an engine bug: the bound is a theorem in the hypothesis
     range)."""
     ctx = gl_context_q(n, q)
-    lemma_id = "lemma-a"
-    params = {"n": n, "q": q, "mode": mode}
+    check = Check("lemma-a", {"n": n, "q": q, "mode": mode}, seed=seed)
     if not ctx.hypothesis_ok():
-        return (
-            VerificationReport(lemma_id, params, NOT_APPLICABLE,
-                               counts={"hypothesis_ok": 0}, seed=seed),
-            [],
-        )
-    with stopwatch() as clock:
-        if mode == "exhaustive":
-            ambient_gens = _gl_generators(ctx)
-            try:
-                ambient = closure(ambient_gens, cap=LATTICE_AMBIENT_CAP + 1)
-                if ambient.order != ctx.order:
-                    raise RuntimeError(
-                        f"ambient closure has order {ambient.order}, expected {ctx.order}"
-                    )
-                verdicts, stats, _ = exhaustive_campaign(ctx, ambient)
-            except ResourceLimitError as exc:
-                return (
-                    VerificationReport(lemma_id, params, SKIPPED,
-                                       counts={"partial": exc.partial or 0},
-                                       elapsed_ms=clock.elapsed_ms, seed=seed),
-                    [],
+        return check.not_applicable(hypothesis_ok=0), []
+    if mode == "exhaustive":
+        ambient_gens = _gl_generators(ctx)
+        try:
+            ambient = closure(ambient_gens, cap=LATTICE_AMBIENT_CAP + 1)
+            if ambient.order != ctx.order:
+                raise RuntimeError(
+                    f"ambient closure has order {ambient.order}, expected {ctx.order}"
                 )
-        elif mode == "random":
-            if max_order is None:
-                max_order = 30_000 if n <= 2 else 4_000
-            verdicts, stats = random_stream_campaign(ctx, seed, trials, max_order)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        bound = geom_sum(q, n)
-        even = [v for v in verdicts if v.verdict != ODD_SKIP]
-        violated = [v for v in verdicts if v.verdict == VIOLATED_TAG]
-        parts = sorted(v.index_part for v in even)
-        histogram = {}
-        for v in even:
-            bucket = f"{v.index_part}/{bound}"
-            histogram[bucket] = histogram.get(bucket, 0) + 1
-        counts = {
-            "bound": bound,
-            "subgroups": stats.emitted,
-            "even_order": len(even),
-            "odd_skipped": len(verdicts) - len(even),
-            "violations": len(violated),
-            "max_part": parts[-1] if parts else 0,
-            "min_part": parts[0] if parts else 0,
-            "truncated": stats.truncated,
-            "duplicates": stats.duplicates,
-            "base_case_ceiling_q_plus_1": int(
-                (parts[-1] if parts else 0) <= q + 1
-            ) if n == 2 else -1,
+            verdicts, stats, _ = exhaustive_campaign(ctx, ambient)
+        except ResourceLimitError as exc:
+            return check.skipped(exc), []
+    elif mode == "random":
+        if max_order is None:
+            max_order = 30_000 if n <= 2 else 4_000
+        verdicts, stats = random_stream_campaign(ctx, seed, trials, max_order)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    bound = geom_sum(q, n)
+    even = [v for v in verdicts if v.verdict != ODD_SKIP]
+    violated = [v for v in verdicts if v.verdict == VIOLATED_TAG]
+    parts = sorted(v.index_part for v in even)
+    counts = {
+        "bound": bound,
+        "subgroups": stats.emitted,
+        "even_order": len(even),
+        "odd_skipped": len(verdicts) - len(even),
+        "violations": len(violated),
+        "max_part": parts[-1] if parts else 0,
+        "min_part": parts[0] if parts else 0,
+        "truncated": stats.truncated,
+        "duplicates": stats.duplicates,
+        "base_case_ceiling_q_plus_1": int(
+            (parts[-1] if parts else 0) <= q + 1
+        ) if n == 2 else -1,
+    }
+    witness = None
+    if violated:
+        v = violated[0]
+        witness = {
+            "subgroup_generators": list(v.subgroup_generators),
+            "best_involution": v.best_involution,
+            "index": v.index,
+            "index_part": v.index_part,
+            "bound": v.bound,
         }
-        witness = None
-        if violated:
-            v = violated[0]
-            witness = {
-                "subgroup_generators": list(v.subgroup_generators),
-                "best_involution": v.best_involution,
-                "index": v.index,
-                "index_part": v.index_part,
-                "bound": v.bound,
-            }
-        verdict = VIOLATED if violated else VERIFIED
-        if stats.truncated and not violated:
-            # truncation does not undermine the checked subgroups, but the
-            # stream is declared incomplete
-            counts["stream_complete"] = 0
-        else:
-            counts["stream_complete"] = int(mode == "exhaustive")
-    return (
-        VerificationReport(
-            lemma_id, params, verdict, counts=counts, witness=witness,
-            elapsed_ms=clock.elapsed_ms, seed=seed,
-        ),
-        verdicts,
-    )
+    if stats.truncated and not violated:
+        # truncation does not undermine the checked subgroups, but the
+        # stream is declared incomplete
+        counts["stream_complete"] = 0
+    else:
+        counts["stream_complete"] = int(mode == "exhaustive")
+    return check.result(not violated, counts, witness), verdicts
 
 
 def _gl_generators(ctx: GLContext):
@@ -676,32 +572,18 @@ def sn_bound_check(kind: str, H: FiniteGroup) -> VerificationReport:
     if kind not in ("oddsn", "sninvolutions"):
         raise ValueError(f"unknown kind {kind!r}")
     degree = len(H.identity.img)
-    params = {"kind": kind, "degree": degree, "order": H.order}
-    with stopwatch() as clock:
-        if not is_primitive(H):
-            return VerificationReport("sn-bounds", params, NOT_APPLICABLE,
-                                      counts={"reason_primitive": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        if kind == "oddsn":
-            if H.order % 2 == 0:
-                return VerificationReport("sn-bounds", params, NOT_APPLICABLE,
-                                          counts={"reason_parity": 0},
-                                          elapsed_ms=clock.elapsed_ms)
-            ok = _lt_pow_log2(H.order, degree)
-            counts = {"order": H.order, "degree": degree}
-        else:
-            if H.order % 2:
-                return VerificationReport("sn-bounds", params, NOT_APPLICABLE,
-                                          counts={"reason_parity": 0},
-                                          elapsed_ms=clock.elapsed_ms)
-            best = min(size for _, size in involution_classes(H.involutions(), H.conj_class))
-            ok = best * best < 42 ** (degree - 2)
-            counts = {"best_index": best, "bound_squared": 42 ** (degree - 2)}
-    return VerificationReport(
-        "sn-bounds",
-        params,
-        VERIFIED if ok else VIOLATED,
-        counts=counts,
-        witness=None if ok else {"counts": counts},
-        elapsed_ms=clock.elapsed_ms,
-    )
+    check = Check("sn-bounds", {"kind": kind, "degree": degree, "order": H.order})
+    if not is_primitive(H):
+        return check.not_applicable(reason_primitive=0)
+    if kind == "oddsn":
+        if H.order % 2 == 0:
+            return check.not_applicable(reason_parity=0)
+        ok = _lt_pow_log2(H.order, degree)
+        counts = {"order": H.order, "degree": degree}
+    else:
+        if H.order % 2:
+            return check.not_applicable(reason_parity=0)
+        best = min(size for _, size in involution_classes(H.involutions(), H.conj_class))
+        ok = best * best < 42 ** (degree - 2)
+        counts = {"best_index": best, "bound_squared": 42 ** (degree - 2)}
+    return check.result(ok, counts, {"counts": counts})

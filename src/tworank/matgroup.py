@@ -31,14 +31,7 @@ from .partarith import (
     part_pow,
     prime_power_decompose,
 )
-from .report import (
-    NOT_APPLICABLE,
-    SKIPPED,
-    VERIFIED,
-    VIOLATED,
-    VerificationReport,
-    stopwatch,
-)
+from .report import Check, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -417,103 +410,82 @@ def _statement_conditions(statement, n, q):
 
 def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> VerificationReport:
     """Check one of the five Sylow-2 size/census bounds for GL_n(q)."""
-    lemma_id = f"sylow2-gl.{statement}"
     params = {"statement": statement, "n": n, "q": q}
-    with stopwatch() as clock:
-        try:
-            ctx = gl_context_q(n, q)
-        except ValueError:
-            return VerificationReport(lemma_id, params, NOT_APPLICABLE,
-                                      elapsed_ms=clock.elapsed_ms)
-        if not ctx.hypothesis_ok() or not _statement_conditions(statement, n, q):
-            return VerificationReport(
-                lemma_id,
-                params,
-                NOT_APPLICABLE,
-                counts={
-                    "hypothesis_ok": int(ctx.hypothesis_ok()),
-                    "side_conditions_ok": int(_statement_conditions(statement, n, q)),
-                },
-                elapsed_ms=clock.elapsed_ms,
+    check = Check(f"sylow2-gl.{statement}", params)
+    try:
+        ctx = gl_context_q(n, q)
+    except ValueError:
+        return check.not_applicable()
+    if not ctx.hypothesis_ok() or not _statement_conditions(statement, n, q):
+        return check.not_applicable(
+            hypothesis_ok=int(ctx.hypothesis_ok()),
+            side_conditions_ok=int(_statement_conditions(statement, n, q)),
+        )
+    bound = geom_sum(q, n)
+    counts = {"bound": bound}
+    try:
+        if statement == 1:
+            size = gl_order_two_part(n, q)
+            counts["sylow2_order"] = size
+            ok = size < bound
+            witness = {"sylow2_order": size, "bound": bound}
+        elif statement == 2:
+            desc = sylow2_gl(n, q, cap=cap)
+            base = sylow2_gl2(q)
+            formula = wreath_involution_count(base.census_total, base.group.order)
+            crude = 2 * (base.census_total + 1) ** 2
+            counts.update(
+                {
+                    "sylow2_order": desc.group.order,
+                    "involutions": desc.census_total,
+                    "central_involutions": desc.census_central,
+                    "wreath_formula": formula,
+                    "crude_wreath_bound": crude,
+                }
             )
-        bound = geom_sum(q, n)
-        counts = {"bound": bound}
-        try:
-            if statement == 1:
-                size = gl_order_two_part(n, q)
-                counts["sylow2_order"] = size
-                ok = size < bound
-                witness = None if ok else {"sylow2_order": size, "bound": bound}
-            elif statement == 2:
-                desc = sylow2_gl(n, q, cap=cap)
-                base = sylow2_gl2(q)
-                formula = wreath_involution_count(base.census_total, base.group.order)
-                crude = 2 * (base.census_total + 1) ** 2
-                counts.update(
-                    {
-                        "sylow2_order": desc.group.order,
-                        "involutions": desc.census_total,
-                        "central_involutions": desc.census_central,
-                        "wreath_formula": formula,
-                        "crude_wreath_bound": crude,
-                    }
-                )
-                ok = desc.census_total < bound and formula == desc.census_total
-                witness = None if ok else {"involutions": desc.census_total, "bound": bound}
-            elif statement == 3:
-                desc = sylow2_gl2(q)
-                rel = desc.presentation
-                counts.update(
-                    {
-                        "sylow2_order": desc.group.order,
-                        "involutions": desc.census_total,
-                        "central_involutions": desc.census_central,
-                        "non_central": desc.census_total - desc.census_central,
-                        "total_bound": q + 2,
-                        "non_central_bound": q + 1,
-                    }
-                )
-                relations_ok = (
-                    rel["a^(2(q+1)_2)=1"]
-                    and rel["b^4=1"]
-                    and rel["a^((q+1)_2)=b^2"]
-                    and rel["b^-1*a*b=a^q"]
-                )
-                counts["relations_ok"] = int(relations_ok)
-                params["conjugation_relation"] = "b^-1*a*b = a^q"
-                ok = (
-                    desc.census_total <= q + 2
-                    and desc.census_total - desc.census_central <= q + 1
-                    and relations_ok
-                )
-                witness = None if ok else {"census": desc.census_total}
-            else:  # statements 4 and 5: census against the geometric-sum bound
-                desc = sylow2_gl(n, q, cap=cap)
-                counts.update(
-                    {
-                        "sylow2_order": desc.group.order,
-                        "involutions": desc.census_total,
-                        "central_involutions": desc.census_central,
-                    }
-                )
-                ok = desc.census_total < bound
-                witness = None if ok else {"involutions": desc.census_total, "bound": bound}
-        except ResourceLimitError as exc:
-            return VerificationReport(
-                lemma_id,
-                params,
-                SKIPPED,
-                counts={"partial": exc.partial or 0},
-                elapsed_ms=clock.elapsed_ms,
+            ok = desc.census_total < bound and formula == desc.census_total
+            witness = {"involutions": desc.census_total, "bound": bound}
+        elif statement == 3:
+            desc = sylow2_gl2(q)
+            rel = desc.presentation
+            counts.update(
+                {
+                    "sylow2_order": desc.group.order,
+                    "involutions": desc.census_total,
+                    "central_involutions": desc.census_central,
+                    "non_central": desc.census_total - desc.census_central,
+                    "total_bound": q + 2,
+                    "non_central_bound": q + 1,
+                }
             )
-    return VerificationReport(
-        lemma_id,
-        params,
-        VERIFIED if ok else VIOLATED,
-        counts=counts,
-        witness=witness,
-        elapsed_ms=clock.elapsed_ms,
-    )
+            relations_ok = (
+                rel["a^(2(q+1)_2)=1"]
+                and rel["b^4=1"]
+                and rel["a^((q+1)_2)=b^2"]
+                and rel["b^-1*a*b=a^q"]
+            )
+            counts["relations_ok"] = int(relations_ok)
+            params["conjugation_relation"] = "b^-1*a*b = a^q"
+            ok = (
+                desc.census_total <= q + 2
+                and desc.census_total - desc.census_central <= q + 1
+                and relations_ok
+            )
+            witness = {"census": desc.census_total}
+        else:  # statements 4 and 5: census against the geometric-sum bound
+            desc = sylow2_gl(n, q, cap=cap)
+            counts.update(
+                {
+                    "sylow2_order": desc.group.order,
+                    "involutions": desc.census_total,
+                    "central_involutions": desc.census_central,
+                }
+            )
+            ok = desc.census_total < bound
+            witness = {"involutions": desc.census_total, "bound": bound}
+    except ResourceLimitError as exc:
+        return check.skipped(exc)
+    return check.result(ok, counts, witness)
 
 
 # -- structured subgroups used by the sampled bound campaigns ----------------

@@ -20,14 +20,7 @@ from .gf import field_make
 from .groups import FiniteGroup, closure
 from .matgroup import GLContext, singer_element
 from .partarith import prime_power_decompose
-from .report import (
-    NOT_APPLICABLE,
-    SKIPPED,
-    VERIFIED,
-    VIOLATED,
-    VerificationReport,
-    stopwatch,
-)
+from .report import VERIFIED, Check, VerificationReport
 
 PLANE_EXHAUSTIVE_AXIOM_CAP = 16
 DEFAULT_CLASS_CAP = 500_000
@@ -401,81 +394,61 @@ def counting_identity_check(G: PlaneGroup, g) -> VerificationReport:
     cross-checked by double counting fixed points over the class.
     """
     plane = G.plane
-    params = {"q": plane.order}
+    check = Check("plane-counting", {"q": plane.order})
     if isinstance(g, Collineation):
         g = g.point_perm
-    with stopwatch() as clock:
-        x = plane.order
-        u = isqrt(x)
-        if u * u != x or u < 2:
-            return VerificationReport("plane-counting", params, NOT_APPLICABLE,
-                                      counts={"reason_square_order": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        if g.is_identity() or not (g * g).is_identity():
-            return VerificationReport("plane-counting", params, NOT_APPLICABLE,
-                                      counts={"reason_involution": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        if not G.contains_certainly(g):
-            raise ValueError("the candidate involution is not known to lie in the group")
-        if not G.is_transitive():
-            return VerificationReport("plane-counting", params, NOT_APPLICABLE,
-                                      counts={"reason_transitive": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        baer_count = u * u + u + 1
-        try:
-            cls = G.conj_class_of(g)
-        except ResourceLimitError as exc:
-            return VerificationReport("plane-counting", params, SKIPPED,
-                                      counts={"partial": exc.partial or 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        n_pts = plane.num_points
+    x = plane.order
+    u = isqrt(x)
+    if u * u != x or u < 2:
+        return check.not_applicable(reason_square_order=0)
+    if g.is_identity() or not (g * g).is_identity():
+        return check.not_applicable(reason_involution=0)
+    if not G.contains_certainly(g):
+        raise ValueError("the candidate involution is not known to lie in the group")
+    if not G.is_transitive():
+        return check.not_applicable(reason_transitive=0)
+    baer_count = u * u + u + 1
+    try:
+        cls = G.conj_class_of(g)
+    except ResourceLimitError as exc:
+        return check.skipped(exc)
+    n_pts = plane.num_points
+    for h in cls:
+        fixed = sum(1 for i in range(n_pts) if h.img[i] == i)
+        if fixed != baer_count:
+            return check.not_applicable(reason_conjugate_fixes=fixed, expected=baer_count)
+    class_size = len(cls)
+    fix_alpha = sum(1 for h in cls if h.img[0] == 0)
+    expected = u * u - u + 1
+    prime_cond = baer_prime_condition(u)
+    counts = {
+        "class_size": class_size,
+        "class_in_stabilizer": fix_alpha,
+        "expected_ratio": expected,
+        "baer_primes_ok": prime_cond["primes_1_mod_3_or_3"] & prime_cond["nine_free"],
+    }
+    ok = fix_alpha > 0 and class_size % fix_alpha == 0
+    ratio = class_size // fix_alpha if ok else None
+    if ok:
+        counts["ratio"] = ratio
+        # double-count cross-check: per-point incidence counts of the
+        # class must be constant over points of a transitive group
+        per_point = [0] * n_pts
         for h in cls:
-            fixed = sum(1 for i in range(n_pts) if h.img[i] == i)
-            if fixed != baer_count:
-                return VerificationReport(
-                    "plane-counting", params, NOT_APPLICABLE,
-                    counts={"reason_conjugate_fixes": fixed, "expected": baer_count},
-                    elapsed_ms=clock.elapsed_ms,
-                )
-        class_size = len(cls)
-        fix_alpha = sum(1 for h in cls if h.img[0] == 0)
-        expected = u * u - u + 1
-        prime_cond = baer_prime_condition(u)
-        counts = {
-            "class_size": class_size,
-            "class_in_stabilizer": fix_alpha,
-            "expected_ratio": expected,
-            "baer_primes_ok": prime_cond["primes_1_mod_3_or_3"] & prime_cond["nine_free"],
-        }
-        ok = fix_alpha > 0 and class_size % fix_alpha == 0
-        ratio = class_size // fix_alpha if ok else None
-        if ok:
-            counts["ratio"] = ratio
-            # double-count cross-check: per-point incidence counts of the
-            # class must be constant over points of a transitive group
-            per_point = [0] * n_pts
-            for h in cls:
-                img = h.img
-                for i in range(n_pts):
-                    if img[i] == i:
-                        per_point[i] += 1
-            constant = all(c == per_point[0] for c in per_point)
-            counts["per_point_constant"] = int(constant)
-            counts["double_count"] = class_size * baer_count
-            ok = (
-                constant
-                and per_point[0] == fix_alpha
-                and class_size * baer_count == n_pts * fix_alpha
-                and ratio == expected
-            )
-    return VerificationReport(
-        "plane-counting",
-        params,
-        VERIFIED if ok else VIOLATED,
-        counts=counts,
-        witness=None if ok else {"counts": counts},
-        elapsed_ms=clock.elapsed_ms,
-    )
+            img = h.img
+            for i in range(n_pts):
+                if img[i] == i:
+                    per_point[i] += 1
+        constant = all(c == per_point[0] for c in per_point)
+        counts["per_point_constant"] = int(constant)
+        counts["double_count"] = class_size * baer_count
+        ok = (
+            constant
+            and per_point[0] == fix_alpha
+            and class_size * baer_count == n_pts * fix_alpha
+            and ratio == expected
+        )
+    return check.result(ok, counts, {"counts": counts})
 
 
 def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
@@ -486,74 +459,65 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
     sides are computed exhaustively.
     """
     params = {}
-    with stopwatch() as clock:
-        if isinstance(G, PlaneGroup):
-            try:
-                big = G.group()
-            except ResourceLimitError as exc:
-                return VerificationReport("fix-transitivity", params, SKIPPED,
-                                          counts={"partial": exc.partial or 0},
-                                          elapsed_ms=clock.elapsed_ms)
-            degree = G.degree
-        else:
-            big = G.materialize()
-            degree = len(big.identity.img)
-        params["G_order"] = big.order
-        params["K_order"] = K.order
-        kset = K.element_set
-        if not kset <= big.element_set:
-            raise ValueError("K must be a subgroup of G")
-        if any(k.img[alpha] != alpha for k in K.gens):
-            raise ValueError("K must fix the base point")
-        fix = [i for i in range(degree) if all(k.img[i] == i for k in K.gens)]
-        fix_set = set(fix)
-        kgens = K.gens
-        normalizer = [
-            h for h in big.elements
-            if all((h * k) * h.inv() in kset for k in kgens)
-        ]
-        orbit = {alpha}
-        queue = deque([alpha])
-        norm_perms = normalizer
-        while queue:
-            ptx = queue.popleft()
-            for h in norm_perms:
-                y = h.img[ptx]
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        side_transitive = orbit == fix_set
-        stab = [h for h in big.elements if h.img[alpha] == alpha]
-        k_sorted = kset
-        conj_in_stab_G = set()
-        stab_set = set(stab)
-        for h in big.elements:
-            hinv = h.inv()
-            image = frozenset((h * k) * hinv for k in k_sorted)
-            if image <= stab_set:
-                conj_in_stab_G.add(image)
-        conj_in_stab_H = set()
-        for h in stab:
-            hinv = h.inv()
-            conj_in_stab_H.add(frozenset((h * k) * hinv for k in k_sorted))
-        side_fusion = conj_in_stab_G == conj_in_stab_H
-        counts = {
-            "fix_size": len(fix),
-            "normalizer_order": len(normalizer),
-            "normalizer_transitive_on_fix": int(side_transitive),
-            "conjugates_in_stabilizer_G": len(conj_in_stab_G),
-            "conjugates_in_stabilizer_H": len(conj_in_stab_H),
-            "fusion_equal": int(side_fusion),
-        }
-        ok = side_transitive == side_fusion
-    return VerificationReport(
-        "fix-transitivity",
-        params,
-        VERIFIED if ok else VIOLATED,
-        counts=counts,
-        witness=None if ok else {"counts": counts},
-        elapsed_ms=clock.elapsed_ms,
-    )
+    check = Check("fix-transitivity", params)
+    if isinstance(G, PlaneGroup):
+        try:
+            big = G.group()
+        except ResourceLimitError as exc:
+            return check.skipped(exc)
+        degree = G.degree
+    else:
+        big = G.materialize()
+        degree = len(big.identity.img)
+    params["G_order"] = big.order
+    params["K_order"] = K.order
+    kset = K.element_set
+    if not kset <= big.element_set:
+        raise ValueError("K must be a subgroup of G")
+    if any(k.img[alpha] != alpha for k in K.gens):
+        raise ValueError("K must fix the base point")
+    fix = [i for i in range(degree) if all(k.img[i] == i for k in K.gens)]
+    fix_set = set(fix)
+    kgens = K.gens
+    normalizer = [
+        h for h in big.elements
+        if all((h * k) * h.inv() in kset for k in kgens)
+    ]
+    orbit = {alpha}
+    queue = deque([alpha])
+    norm_perms = normalizer
+    while queue:
+        ptx = queue.popleft()
+        for h in norm_perms:
+            y = h.img[ptx]
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    side_transitive = orbit == fix_set
+    stab = [h for h in big.elements if h.img[alpha] == alpha]
+    k_sorted = kset
+    conj_in_stab_G = set()
+    stab_set = set(stab)
+    for h in big.elements:
+        hinv = h.inv()
+        image = frozenset((h * k) * hinv for k in k_sorted)
+        if image <= stab_set:
+            conj_in_stab_G.add(image)
+    conj_in_stab_H = set()
+    for h in stab:
+        hinv = h.inv()
+        conj_in_stab_H.add(frozenset((h * k) * hinv for k in k_sorted))
+    side_fusion = conj_in_stab_G == conj_in_stab_H
+    counts = {
+        "fix_size": len(fix),
+        "normalizer_order": len(normalizer),
+        "normalizer_transitive_on_fix": int(side_transitive),
+        "conjugates_in_stabilizer_G": len(conj_in_stab_G),
+        "conjugates_in_stabilizer_H": len(conj_in_stab_H),
+        "fusion_equal": int(side_fusion),
+    }
+    ok = side_transitive == side_fusion
+    return check.result(ok, counts, {"counts": counts})
 
 
 def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budget=1000, seed=0):
@@ -568,72 +532,51 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
 
     plane = G.plane
     n_pts = plane.num_points
-    params = {"q": plane.order}
+    check = Check("odd-transitive", {"q": plane.order}, seed=seed)
     rng = _random.Random(seed)
-    with stopwatch() as clock:
-        if not G.is_transitive():
-            return None, VerificationReport("odd-transitive", params, NOT_APPLICABLE,
-                                            counts={"reason_transitive": 0},
-                                            elapsed_ms=clock.elapsed_ms)
+    if not G.is_transitive():
+        return None, check.not_applicable(reason_transitive=0)
+    try:
+        big = G.group()
+        universe = list(big.elements)
+    except ResourceLimitError:
+        universe = None
+    if universe is not None and big.order % 2 == 1:
+        return big, check.report(VERIFIED, {"witness_order": big.order, "mode": 0})
+    # single elements: an odd-order element with one full cycle
+    candidates = universe if universe is not None else [
+        _random_word(G, rng) for _ in range(candidate_budget)
+    ]
+    for h in candidates:
+        d = h.order()
+        if d % 2 == 1 and d >= n_pts:
+            cyc = h.cycles()
+            if len(cyc) == 1 and len(cyc[0]) == n_pts:
+                witness = closure([h])
+                return witness, check.report(
+                    VERIFIED, {"witness_order": witness.order, "mode": 1}
+                )
+    # small odd-order generator sets
+    odd_pool = [h for h in candidates if h.order() % 2 == 1 and not h.is_identity()]
+    for _ in range(min(candidate_budget, len(odd_pool) ** 2 if odd_pool else 0)):
+        pair = [rng.choice(odd_pool), rng.choice(odd_pool)]
         try:
-            big = G.group()
-            universe = list(big.elements)
+            sub = closure(pair, cap=closure_budget)
         except ResourceLimitError:
-            universe = None
-        if universe is not None and big.order % 2 == 1:
-            rep = VerificationReport(
-                "odd-transitive", params, VERIFIED,
-                counts={"witness_order": big.order, "mode": 0},
-                elapsed_ms=clock.elapsed_ms, seed=seed,
-            )
-            return big, rep
-        # single elements: an odd-order element with one full cycle
-        candidates = universe if universe is not None else [
-            _random_word(G, rng) for _ in range(candidate_budget)
-        ]
-        for h in candidates:
-            d = h.order()
-            if d % 2 == 1 and d >= n_pts:
-                cyc = h.cycles()
-                if len(cyc) == 1 and len(cyc[0]) == n_pts:
-                    witness = closure([h])
-                    rep = VerificationReport(
-                        "odd-transitive", params, VERIFIED,
-                        counts={"witness_order": witness.order, "mode": 1},
-                        elapsed_ms=clock.elapsed_ms, seed=seed,
-                    )
-                    return witness, rep
-        # small odd-order generator sets
-        odd_pool = [h for h in candidates if h.order() % 2 == 1 and not h.is_identity()]
-        for _ in range(min(candidate_budget, len(odd_pool) ** 2 if odd_pool else 0)):
-            pair = [rng.choice(odd_pool), rng.choice(odd_pool)]
-            try:
-                sub = closure(pair, cap=closure_budget)
-            except ResourceLimitError:
-                continue
-            if sub.order % 2 == 1:
-                orbit = {0}
-                queue = deque([0])
-                while queue:
-                    ptx = queue.popleft()
-                    for gp in sub.gens:
-                        y = gp.img[ptx]
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
-                if len(orbit) == n_pts:
-                    rep = VerificationReport(
-                        "odd-transitive", params, VERIFIED,
-                        counts={"witness_order": sub.order, "mode": 2},
-                        elapsed_ms=clock.elapsed_ms, seed=seed,
-                    )
-                    return sub, rep
-    rep = VerificationReport(
-        "odd-transitive", params, NOT_APPLICABLE,
-        counts={"exhausted": 1},
-        elapsed_ms=clock.elapsed_ms, seed=seed,
-    )
-    return None, rep
+            continue
+        if sub.order % 2 == 1:
+            orbit = {0}
+            queue = deque([0])
+            while queue:
+                ptx = queue.popleft()
+                for gp in sub.gens:
+                    y = gp.img[ptx]
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+            if len(orbit) == n_pts:
+                return sub, check.report(VERIFIED, {"witness_order": sub.order, "mode": 2})
+    return None, check.not_applicable(exhausted=1)
 
 
 def _random_word(G: PlaneGroup, rng, length=12):

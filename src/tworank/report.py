@@ -1,7 +1,11 @@
 """Verification reports and their serialization.
 
-One report per checked claim.  JSON schema (versioned, unknown-field
-tolerant on read):
+One report per checked claim.  A verifier makes one `Check` when it starts
+and builds every report it returns through it: the Check holds the lemma
+id, params and seed, and stamps each report with the whole milliseconds
+elapsed from its start to the moment the report is built.
+
+JSON schema (versioned, unknown-field tolerant on read):
 
     {schema: 1, lemma_id, params, verdict, witness?, counts, elapsed_ms, seed?}
 
@@ -12,7 +16,6 @@ diffed.
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -89,28 +92,36 @@ class VerificationReport:
         return "  ".join(str(b) for b in bits)
 
 
-class Stopwatch:
-    """Milliseconds since the start of a `stopwatch` block: a live reading
-    inside the block (for reports returned early), frozen once it exits."""
+class Check:
+    """One run of a verifier.  The clock starts when the Check is made;
+    each report it builds carries the lemma id, params and seed given here
+    and the milliseconds elapsed up to the moment the report is built."""
 
-    def __init__(self):
+    def __init__(self, lemma_id, params, seed=None):
+        self.lemma_id = lemma_id
+        self.params = params
+        self.seed = seed
         self._start = time.perf_counter()
-        self._end = None
 
-    @property
-    def elapsed_ms(self):
-        end = self._end if self._end is not None else time.perf_counter()
-        return int((end - self._start) * 1000)
+    def report(self, verdict, counts=None, witness=None):
+        elapsed_ms = int((time.perf_counter() - self._start) * 1000)
+        return VerificationReport(
+            self.lemma_id, self.params, verdict, {} if counts is None else counts, witness,
+            elapsed_ms, self.seed,
+        )
 
+    def not_applicable(self, **counts):
+        return self.report(NOT_APPLICABLE, counts)
 
-@contextmanager
-def stopwatch():
-    """Context manager yielding a Stopwatch."""
-    clock = Stopwatch()
-    try:
-        yield clock
-    finally:
-        clock._end = time.perf_counter()
+    def skipped(self, exc):
+        """The report for a run cut short by a ResourceLimitError."""
+        return self.report(SKIPPED, {"partial": exc.partial or 0})
+
+    def result(self, ok, counts, witness):
+        """Verified, or violated with the witness, which is dropped when ok."""
+        if ok:
+            return self.report(VERIFIED, counts)
+        return self.report(VIOLATED, counts, witness)
 
 
 def dump_reports(reports, fh, stable=False):

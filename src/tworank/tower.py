@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from . import constructions as lib
 from .elements import DirectTuple
 from .groups import FiniteGroup, Homomorphism
-from .report import (
-    NOT_APPLICABLE,
-    VERIFIED,
-    VIOLATED,
-    VerificationReport,
-    stopwatch,
-)
+from .report import VIOLATED, Check, VerificationReport
 
 
 @dataclass
@@ -52,10 +46,6 @@ class TowerDecomposition:
         return g.project(i - 1)
 
 
-def _project_elem(x, drop):
-    return DirectTuple(x.parts[drop:])
-
-
 def build_tower(H: FiniteGroup, r: int) -> TowerDecomposition:
     """Compute all projections, kernels and the parity index of H."""
     probe = H.identity
@@ -68,12 +58,12 @@ def build_tower(H: FiniteGroup, r: int) -> TowerDecomposition:
     for i in range(1, r + 1):
         levels.append(current)
         if i < r:
-            images = dict.fromkeys(_project_elem(x, 1) for x in current.elements)
-            gen_images = {g: _project_elem(g, 1) for g in current.gens}
+            images = dict.fromkeys(x.project(1) for x in current.elements)
+            gen_images = {g: g.project(1) for g in current.gens}
             nxt = FiniteGroup._from_elements(
                 list(images), list(gen_images.values()), cap=H.cap, name=f"L{i + 1}"
             )
-            psi = Homomorphism(current, nxt, gen_images, lambda x: _project_elem(x, 1))
+            psi = Homomorphism(current, nxt, gen_images, lambda x: x.project(1))
             projections.append(psi)
             kernel_elems = [
                 x for x in current.elements if all(p.is_identity() for p in x.parts[1:])
@@ -103,126 +93,87 @@ def _index_exact(total: int, part: int, what: str) -> int:
 
 def verify_oddnormal(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport:
     """|H:C_H(g)| = |N:C_N(g)| * |H/N:C_{H/N}(gN)| for odd normal N."""
-    params = {"H_order": H.order, "N_order": N.order}
-    with stopwatch() as clock:
-        if g not in H or g.is_identity() or not (g * g).is_identity():
-            return VerificationReport("odd-normal-index", params, NOT_APPLICABLE,
-                                      counts={"reason_involution": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        if N.order % 2 == 0 or not N.is_normal_in(H):
-            return VerificationReport("odd-normal-index", params, NOT_APPLICABLE,
-                                      counts={"reason_odd_normal": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        lhs = _index_exact(H.order, H.centralizer(g).order, "|H:C_H(g)|")
-        idx_n = _index_exact(N.order, _centralizer_order_in(N, g), "|N:C_N(g)|")
-        if N.order == 1:
-            # the quotient map is an isomorphism; skip the regular action
-            idx_q = lhs
+    check = Check("odd-normal-index", {"H_order": H.order, "N_order": N.order})
+    if g not in H or g.is_identity() or not (g * g).is_identity():
+        return check.not_applicable(reason_involution=0)
+    if N.order % 2 == 0 or not N.is_normal_in(H):
+        return check.not_applicable(reason_odd_normal=0)
+    lhs = _index_exact(H.order, H.centralizer(g).order, "|H:C_H(g)|")
+    idx_n = _index_exact(N.order, _centralizer_order_in(N, g), "|N:C_N(g)|")
+    if N.order == 1:
+        # the quotient map is an isomorphism; skip the regular action
+        idx_q = lhs
+    else:
+        quo, pi = H.quotient(N)
+        gbar = pi(g)
+        if gbar.is_identity():
+            idx_q = 1
         else:
-            quo, pi = H.quotient(N)
-            gbar = pi(g)
-            if gbar.is_identity():
-                idx_q = 1
-            else:
-                idx_q = _index_exact(quo.order, quo.centralizer(gbar).order, "|H/N:C(gN)|")
-        counts = {"lhs": lhs, "idx_N": idx_n, "idx_quotient": idx_q}
-        ok = lhs == idx_n * idx_q
-    return VerificationReport(
-        "odd-normal-index",
-        params,
-        VERIFIED if ok else VIOLATED,
-        counts=counts,
-        witness=None if ok else {"g": repr(g), "counts": counts},
-        elapsed_ms=clock.elapsed_ms,
-    )
+            idx_q = _index_exact(quo.order, quo.centralizer(gbar).order, "|H/N:C(gN)|")
+    counts = {"lhs": lhs, "idx_N": idx_n, "idx_quotient": idx_q}
+    return check.result(lhs == idx_n * idx_q, counts, {"g": repr(g), "counts": counts})
 
 
 def verify_sylow_fusion(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport:
     """|H:C_H(g)| = |N:C_N(g)| * |g^H n P| / |g^N n P| for g an involution
     inside the normal subgroup N, P a Sylow 2-subgroup of N."""
-    params = {"H_order": H.order, "N_order": N.order}
-    with stopwatch() as clock:
-        if g not in N or g.is_identity() or not (g * g).is_identity():
-            return VerificationReport("sylow-fusion-index", params, NOT_APPLICABLE,
-                                      counts={"reason_involution_in_N": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        if not N.is_normal_in(H):
-            return VerificationReport("sylow-fusion-index", params, NOT_APPLICABLE,
-                                      counts={"reason_normal": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        P = N.sylow_two()
-        pset = P.element_set
-        class_h = H.conj_class(g)
-        class_n = N.conj_class(g)
-        in_p_h = sum(1 for x in class_h if x in pset)
-        in_p_n = sum(1 for x in class_n if x in pset)
-        lhs = _index_exact(H.order, H.centralizer(g).order, "|H:C_H(g)|")
-        idx_n = _index_exact(N.order, _centralizer_order_in(N, g), "|N:C_N(g)|")
-        counts = {
-            "lhs": lhs,
-            "idx_N": idx_n,
-            "class_H_in_P": in_p_h,
-            "class_N_in_P": in_p_n,
-        }
-        ok = (idx_n * in_p_h) % in_p_n == 0 and lhs * in_p_n == idx_n * in_p_h
-    return VerificationReport(
-        "sylow-fusion-index",
-        params,
-        VERIFIED if ok else VIOLATED,
-        counts=counts,
-        witness=None if ok else {"g": repr(g), "counts": counts},
-        elapsed_ms=clock.elapsed_ms,
-    )
+    check = Check("sylow-fusion-index", {"H_order": H.order, "N_order": N.order})
+    if g not in N or g.is_identity() or not (g * g).is_identity():
+        return check.not_applicable(reason_involution_in_N=0)
+    if not N.is_normal_in(H):
+        return check.not_applicable(reason_normal=0)
+    P = N.sylow_two()
+    pset = P.element_set
+    class_h = H.conj_class(g)
+    class_n = N.conj_class(g)
+    in_p_h = sum(1 for x in class_h if x in pset)
+    in_p_n = sum(1 for x in class_n if x in pset)
+    lhs = _index_exact(H.order, H.centralizer(g).order, "|H:C_H(g)|")
+    idx_n = _index_exact(N.order, _centralizer_order_in(N, g), "|N:C_N(g)|")
+    counts = {
+        "lhs": lhs,
+        "idx_N": idx_n,
+        "class_H_in_P": in_p_h,
+        "class_N_in_P": in_p_n,
+    }
+    ok = (idx_n * in_p_h) % in_p_n == 0 and lhs * in_p_n == idx_n * in_p_h
+    return check.result(ok, counts, {"g": repr(g), "counts": counts})
 
 
 def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
     """The combined product identity along the projection tower."""
-    params = {"H_order": tower.H.order, "r": tower.r, "k": tower.k}
-    with stopwatch() as clock:
-        if tower.k is None:
-            return VerificationReport("tower-index", params, NOT_APPLICABLE,
-                                      counts={"reason_all_odd": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        if g not in tower.H or g.is_identity() or not (g * g).is_identity():
-            return VerificationReport("tower-index", params, NOT_APPLICABLE,
-                                      counts={"reason_involution": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        k = tower.k
-        g_k = tower.g_image(g, k)
-        T_k = tower.kernels[k - 1]
-        if g_k.is_identity() or g_k not in T_k:
-            return VerificationReport("tower-index", params, NOT_APPLICABLE,
-                                      counts={"reason_gk_in_Tk": 0},
-                                      elapsed_ms=clock.elapsed_ms)
-        prod = 1
-        factor_list = []
-        for i in range(1, k + 1):
-            T_i = tower.kernels[i - 1]
-            g_i = tower.g_image(g, i)
-            idx = _index_exact(T_i.order, _centralizer_order_in(T_i, g_i), f"|T_{i}:C(g_{i})|")
-            factor_list.append(idx)
-            prod *= idx
-        L_k = tower.levels[k - 1]
-        P = T_k.sylow_two()
-        pset = P.element_set
-        in_p_l = sum(1 for x in L_k.conj_class(g_k) if x in pset)
-        in_p_t = sum(1 for x in T_k.conj_class(g_k) if x in pset)
-        lhs = _index_exact(tower.H.order, tower.H.centralizer(g).order, "|H:C_H(g)|")
-        counts = {
-            "lhs": lhs,
-            "kernel_indices": "*".join(map(str, factor_list)),
-            "class_Lk_in_P": in_p_l,
-            "class_Tk_in_P": in_p_t,
-        }
-        ok = (prod * in_p_l) % in_p_t == 0 and lhs * in_p_t == prod * in_p_l
-    return VerificationReport(
-        "tower-index",
-        params,
-        VERIFIED if ok else VIOLATED,
-        counts=counts,
-        witness=None if ok else {"g": repr(g), "counts": counts},
-        elapsed_ms=clock.elapsed_ms,
-    )
+    check = Check("tower-index", {"H_order": tower.H.order, "r": tower.r, "k": tower.k})
+    if tower.k is None:
+        return check.not_applicable(reason_all_odd=0)
+    if g not in tower.H or g.is_identity() or not (g * g).is_identity():
+        return check.not_applicable(reason_involution=0)
+    k = tower.k
+    g_k = tower.g_image(g, k)
+    T_k = tower.kernels[k - 1]
+    if g_k.is_identity() or g_k not in T_k:
+        return check.not_applicable(reason_gk_in_Tk=0)
+    prod = 1
+    factor_list = []
+    for i in range(1, k + 1):
+        T_i = tower.kernels[i - 1]
+        g_i = tower.g_image(g, i)
+        idx = _index_exact(T_i.order, _centralizer_order_in(T_i, g_i), f"|T_{i}:C(g_{i})|")
+        factor_list.append(idx)
+        prod *= idx
+    L_k = tower.levels[k - 1]
+    P = T_k.sylow_two()
+    pset = P.element_set
+    in_p_l = sum(1 for x in L_k.conj_class(g_k) if x in pset)
+    in_p_t = sum(1 for x in T_k.conj_class(g_k) if x in pset)
+    lhs = _index_exact(tower.H.order, tower.H.centralizer(g).order, "|H:C_H(g)|")
+    counts = {
+        "lhs": lhs,
+        "kernel_indices": "*".join(map(str, factor_list)),
+        "class_Lk_in_P": in_p_l,
+        "class_Tk_in_P": in_p_t,
+    }
+    ok = (prod * in_p_l) % in_p_t == 0 and lhs * in_p_t == prod * in_p_l
+    return check.result(ok, counts, {"g": repr(g), "counts": counts})
 
 
 # --------------------------------------------------------------------------
@@ -230,28 +181,27 @@ def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
 # --------------------------------------------------------------------------
 
 def _library_blocks():
-    """(name, builder, has_involutions, odd_order) tuples; builders are
-    cheap enough to call repeatedly."""
+    """(name, builder) pairs; builders are cheap enough to call repeatedly."""
     return [
-        ("C3", lambda: lib.cyclic(3), False, True),
-        ("C4", lambda: lib.cyclic(4), True, False),
-        ("C5", lambda: lib.cyclic(5), False, True),
-        ("C6", lambda: lib.cyclic(6), True, False),
-        ("C7", lambda: lib.cyclic(7), False, True),
-        ("C9", lambda: lib.cyclic(9), False, True),
-        ("S3", lambda: lib.symmetric(3), True, False),
-        ("S4", lambda: lib.symmetric(4), True, False),
-        ("A4", lambda: lib.alternating(4), True, False),
-        ("D8", lambda: lib.dihedral(8), True, False),
-        ("D12", lambda: lib.dihedral(12), True, False),
-        ("D20", lambda: lib.dihedral(20), True, False),
-        ("Q8", lambda: lib.generalized_quaternion(8), True, False),
-        ("Q16", lambda: lib.generalized_quaternion(16), True, False),
-        ("F21", lambda: lib.frobenius_padp(7, 3), False, True),
-        ("F55", lambda: lib.frobenius_padp(11, 5), False, True),
-        ("SL2_3", lambda: lib.sl2(3), True, False),
-        ("V4", lambda: lib.elementary_abelian_two(2), True, False),
-        ("W22", lib.wreath_c2_c2, True, False),
+        ("C3", lambda: lib.cyclic(3)),
+        ("C4", lambda: lib.cyclic(4)),
+        ("C5", lambda: lib.cyclic(5)),
+        ("C6", lambda: lib.cyclic(6)),
+        ("C7", lambda: lib.cyclic(7)),
+        ("C9", lambda: lib.cyclic(9)),
+        ("S3", lambda: lib.symmetric(3)),
+        ("S4", lambda: lib.symmetric(4)),
+        ("A4", lambda: lib.alternating(4)),
+        ("D8", lambda: lib.dihedral(8)),
+        ("D12", lambda: lib.dihedral(12)),
+        ("D20", lambda: lib.dihedral(20)),
+        ("Q8", lambda: lib.generalized_quaternion(8)),
+        ("Q16", lambda: lib.generalized_quaternion(16)),
+        ("F21", lambda: lib.frobenius_padp(7, 3)),
+        ("F55", lambda: lib.frobenius_padp(11, 5)),
+        ("SL2_3", lambda: lib.sl2(3)),
+        ("V4", lambda: lib.elementary_abelian_two(2)),
+        ("W22", lib.wreath_c2_c2),
     ]
 
 
@@ -260,17 +210,14 @@ class _InstanceSampler:
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
-        blocks = _library_blocks()
-        self.named = {}
-        for name, build, has_inv, odd in blocks:
-            self.named[name] = (build(), has_inv, odd)
+        self.named = {name: build() for name, build in _library_blocks()}
         self.names = sorted(self.named)
         self._normal_cache = {}
 
     def _pick_blocks(self, count, need_involution, max_order=4000):
         while True:
             chosen = [self.rng.choice(self.names) for _ in range(count)]
-            groups = [self.named[c][0] for c in chosen]
+            groups = [self.named[c] for c in chosen]
             size = 1
             for G in groups:
                 size *= G.order
@@ -301,9 +248,9 @@ class _InstanceSampler:
             return f"sub:{name}", sub, r
         # diagonal-with-tail: diagonal copy inside G x G, possibly twisted
         base_name = self.rng.choice(self.names)
-        G = self.named[base_name][0]
+        G = self.named[base_name]
         if G.order > 60:
-            G = self.named["S3"][0]
+            G = self.named["S3"]
             base_name = "S3"
         twist = self.rng.choice(G.elements) if self.rng.random() < 0.5 else None
         return f"diag:{base_name}", lib.diagonal_subgroup(G, twist), 2
@@ -320,7 +267,7 @@ class _InstanceSampler:
             r = self.rng.choice((1, 2))
             if r == 1:
                 name = self.rng.choice(self.names)
-                H = self.named[name][0]
+                H = self.named[name]
             else:
                 name, H = self.product_instance(2, max_order=1600)
             if H.order % 2 or H.order > 1600:
@@ -360,56 +307,44 @@ def random_identity_campaign(seed: int, trials: int):
         raise ValueError("trials must be >= 1")
     sampler = _InstanceSampler(seed)
     reports = []
+    campaign = Check("identity-campaign", {"trials": trials}, seed=seed)
     tally = {"verified": 0, "violated": 0, "not-applicable": 0}
     witness = None
-    with stopwatch() as clock:
-        for t in range(trials):
-            kind = t % 3
-            if kind == 0:
-                inst = sampler.group_with_normal("odd")
-                if inst is None:
-                    continue
-                name, H, N, g = inst
-                rep = verify_oddnormal(H, N, g)
-            elif kind == 1:
-                inst = sampler.group_with_normal("even")
-                if inst is None:
-                    continue
-                name, H, N, g = inst
-                rep = verify_sylow_fusion(H, N, g)
+    for t in range(trials):
+        kind = t % 3
+        if kind == 0:
+            inst = sampler.group_with_normal("odd")
+            if inst is None:
+                continue
+            name, H, N, g = inst
+            rep = verify_oddnormal(H, N, g)
+        elif kind == 1:
+            inst = sampler.group_with_normal("even")
+            if inst is None:
+                continue
+            name, H, N, g = inst
+            rep = verify_sylow_fusion(H, N, g)
+        else:
+            trial = Check("tower-index", {})
+            name, H, r = sampler.tower_instance()
+            tower = build_tower(H, r)
+            invs = H.involutions()
+            applicable = []
+            if tower.k is not None:
+                T_k = tower.kernels[tower.k - 1]
+                for g in invs:
+                    gk = tower.g_image(g, tower.k)
+                    if not gk.is_identity() and gk in T_k:
+                        applicable.append(g)
+            if applicable:
+                g = sampler.rng.choice(applicable)
+                rep = verify_tower_identity(tower, g)
             else:
-                name, H, r = sampler.tower_instance()
-                tower = build_tower(H, r)
-                invs = H.involutions()
-                applicable = []
-                if tower.k is not None:
-                    T_k = tower.kernels[tower.k - 1]
-                    for g in invs:
-                        gk = tower.g_image(g, tower.k)
-                        if not gk.is_identity() and gk in T_k:
-                            applicable.append(g)
-                if applicable:
-                    g = sampler.rng.choice(applicable)
-                    rep = verify_tower_identity(tower, g)
-                else:
-                    rep = VerificationReport(
-                        "tower-index", {"instance": name}, NOT_APPLICABLE,
-                        counts={"reason_no_applicable_involution": 0},
-                    )
-            rep.params["instance"] = name
-            rep.seed = seed
-            reports.append(rep)
-            tally[rep.verdict] = tally.get(rep.verdict, 0) + 1
-            if rep.verdict == VIOLATED and witness is None:
-                witness = rep.witness
-    verdict = VIOLATED if tally.get("violated") else VERIFIED
-    aggregate = VerificationReport(
-        "identity-campaign",
-        {"trials": trials},
-        verdict,
-        counts=tally,
-        witness=witness,
-        elapsed_ms=clock.elapsed_ms,
-        seed=seed,
-    )
-    return aggregate, reports
+                rep = trial.not_applicable(reason_no_applicable_involution=0)
+        rep.params["instance"] = name
+        rep.seed = seed
+        reports.append(rep)
+        tally[rep.verdict] = tally.get(rep.verdict, 0) + 1
+        if rep.verdict == VIOLATED and witness is None:
+            witness = rep.witness
+    return campaign.result(not tally["violated"], tally, witness), reports

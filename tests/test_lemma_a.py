@@ -9,6 +9,7 @@ from tworank.lemma_a import (
     SubgroupLattice,
     _lt_pow_log2,
     all_subgroups_oracle,
+    exhaustive_campaign,
     is_primitive,
     lemma_a_campaign,
     lemma_a_check,
@@ -23,6 +24,7 @@ def test_lattice_s4_class_and_subgroup_counts():
     lat = SubgroupLattice(D)
     classes = lat.build()
     assert len(classes) == 11
+    assert sorted(c.order for c in classes) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24]
     assert lat.total_subgroups() == 30
     # the counting identity: class orbit sizes sum to the subgroup total
     assert sum(c.conjugates for c in classes) == 30
@@ -136,28 +138,11 @@ def test_dense_and_object_checks_agree():
         )
 
 
-def test_subgroup_stream_s4():
-    from tworank.lemma_a import subgroups
-
-    s4 = lib.symmetric(4)
-    stream = subgroups(s4, "exhaustive")
-    # 30 subgroups in 11 conjugacy classes; the stream carries the reps
-    assert len(stream.items) == 11
-    assert sorted(g.order for g in stream.groups()) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24]
-    rnd = subgroups(s4, "random", seed=4, max_count=8)
-    again = subgroups(s4, "random", seed=4, max_count=8)
-    assert [g.order for g in rnd.groups()] == [g.order for g in again.groups()]
-    with pytest.raises(ValueError):
-        subgroups(s4, "lattice")
-
-
-def test_subgroup_stream_respects_lattice_cap():
+def test_exhaustive_campaign_respects_lattice_cap():
     from tworank.errors import ResourceLimitError
-    from tworank.lemma_a import subgroups
 
-    big = lib.gl2(13)
     with pytest.raises(ResourceLimitError):
-        subgroups(big, "exhaustive")
+        exhaustive_campaign(gl_context_q(2, 13), lib.gl2(13))
 
 
 def test_random_stream_deterministic():

@@ -34,6 +34,7 @@ from tworank.report import (
 )
 from tworank.tower import (
     build_tower,
+    random_identity_campaign,
     verify_oddnormal,
     verify_sylow_fusion,
     verify_tower_identity,
@@ -160,6 +161,16 @@ def test_cli_usage_errors():
     assert run(["verify", "sylow2", "--n", "2"]) == 3  # missing --q
     assert run(["verify", "fixtrans", "--q", "25"]) == 3  # battery is built on PG(2, 9) only
     assert run(["verify", "tower", "--cap", "5"]) == 3  # --cap only where a cap is read
+    # a bad --q or --n is a usage error, not a violation (exit 1)
+    for argv in (
+        "verify counting --q 7",  # not a square
+        "verify counting --q 6",
+        "plane build --q 6",
+        "verify lemma-a --n 2 --q 6",
+        "verify lemma-a --n 0 --q 7",
+        "census sylow2 --n 2 --q 8",  # even q
+    ):
+        assert run(argv.split()) == 3, argv
 
 
 def test_cli_markdown_format(capsys):
@@ -210,7 +221,9 @@ def test_cli_jobs_flag(capsys):
 
 @pytest.fixture
 def ticking_clock(monkeypatch):
-    """The stopwatch's clock advances one second per reading."""
+    """report.time.perf_counter advances one second per reading, so a
+    report's elapsed_ms is nonzero whenever its Check reads the clock at the
+    start and again when the report is built."""
     ticks = itertools.count()
     monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
 
@@ -244,6 +257,11 @@ def _fixtrans_over_cap():
     return fixpoint_transitivity_check(G, closure([G.gens[0]]))
 
 
+def _tower_no_applicable_involution():
+    _, reports = random_identity_campaign(1, 30)
+    return reports[26]
+
+
 def _tower_all_odd():
     H = lib.direct_product(lib.cyclic(3), lib.cyclic(3))
     return verify_tower_identity(build_tower(H, 2), H.identity)
@@ -254,6 +272,8 @@ def _tower_all_odd():
     [
         pytest.param(lambda: lemma_a_campaign(2, 13, mode="exhaustive")[0], SKIPPED,
                      id="lemma-a-over-cap"),
+        pytest.param(lambda: lemma_a_campaign(2, 11, "random", trials=5)[0], NOT_APPLICABLE,
+                     id="lemma-a-hypothesis"),
         pytest.param(lambda: sn_bound_check("oddsn", lib.symmetric(4)), NOT_APPLICABLE,
                      id="sn-bounds-even-order"),
         pytest.param(lambda: sn_bound_check("sninvolutions", lib.cyclic(4)), NOT_APPLICABLE,
@@ -270,10 +290,20 @@ def _tower_all_odd():
         pytest.param(lambda: verify_sylow_fusion(S3, S3, S3.identity), NOT_APPLICABLE,
                      id="sylow-fusion-identity"),
         pytest.param(_tower_all_odd, NOT_APPLICABLE, id="tower-all-odd"),
+        pytest.param(_tower_no_applicable_involution, NOT_APPLICABLE,
+                     id="tower-no-applicable-involution"),
     ],
 )
 def test_elapsed_ms_on_early_return(ticking_clock, make_report, verdict):
-    """Reports returned from inside a stopwatch block read the live clock."""
+    """Early-return reports carry the time from their Check's start."""
     r = make_report()
     assert r.verdict == verdict
     assert r.elapsed_ms > 0
+
+
+def test_check_result_keeps_witness_only_on_violation():
+    check = report.Check("demo", {"x": 1}, seed=4)
+    ok = check.result(True, {"n": 1}, {"why": "kept only on violation"})
+    bad = check.result(False, {"n": 1}, {"why": "kept only on violation"})
+    assert (ok.verdict, ok.witness, ok.seed) == (VERIFIED, None, 4)
+    assert (bad.verdict, bad.witness) == (VIOLATED, {"why": "kept only on violation"})
