@@ -164,7 +164,10 @@ def _counting_reports(args):
         pg2,
     )
 
-    plane = pg2(args.q)
+    try:
+        plane = pg2(args.q)
+    except ResourceLimitError as exc:
+        return [Check("plane-counting", {"q": args.q}).skipped(exc)]
     fr = frobenius_collineation(plane)
     G = PlaneGroup(plane, gl3_collineation_generators(plane) + [fr])
     return [counting_identity_check(G, fr)]
@@ -211,6 +214,13 @@ def _emit(text, out):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _emit_skipped(check, exc, args):
+    """Write the skipped-resource report of a command that stopped at a cap."""
+    report = check.skipped(exc)
+    _emit(report.to_json(stable=args.stable_output), args.out)
+    return exit_code([report])
 
 
 def _render_reports(reports, args):
@@ -276,9 +286,7 @@ def run(argv) -> int:
         try:
             desc = sylow2_gl(args.n, args.q, cap=args.cap)
         except ResourceLimitError as exc:
-            report = check.skipped(exc)
-            _emit(report.to_json(stable=args.stable_output), args.out)
-            return exit_code([report])
+            return _emit_skipped(check, exc, args)
         if args.format == "csv":
             _emit(CENSUS_CSV_HEADER + "\n" + census_csv_row(desc), args.out)
         else:
@@ -300,7 +308,11 @@ def run(argv) -> int:
     if args.command == "plane" and args.what == "build":
         from .plane import pg2
 
-        plane = pg2(args.q)
+        check = Check("plane-build", {"q": args.q})
+        try:
+            plane = pg2(args.q)
+        except ResourceLimitError as exc:
+            return _emit_skipped(check, exc, args)
         if args.format == "csv":
             _emit(plane.incidence_csv(), args.out)
         else:

@@ -96,17 +96,6 @@ def sl2(p):
     )
 
 
-def gl2(p):
-    """GL_2(p) for prime p: SL_2(p) plus a diagonal torus generator."""
-    F = field_make(p)
-    gens = [
-        Mat.from_rows(F, [[1, 1], [0, 1]]),
-        Mat.from_rows(F, [[1, 0], [1, 1]]),
-        Mat.from_rows(F, [[F.generator, 0], [0, 1]]),
-    ]
-    return closure(gens)
-
-
 def generalized_quaternion(order):
     """Q_order for order = 2^m >= 8, realized inside GL_2(q) where q is the
     smallest prime with q = 3 mod 4 and (q+1)_2 >= order/2."""

@@ -48,16 +48,16 @@ class Perm(GroupElement):
 
     __slots__ = ("img", "_hash")
 
-    def __init__(self, img):
+    def __init__(self, img, _checked=False):
         img = tuple(img)
-        if sorted(img) != list(range(len(img))):
+        if not _checked and sorted(img) != list(range(len(img))):
             raise ValueError(f"not a permutation: {img}")
         self.img = img
         self._hash = hash(("perm", img))
 
     @classmethod
     def identity_of(cls, n):
-        return cls(range(n))
+        return cls(range(n), _checked=True)
 
     @classmethod
     def from_cycles(cls, n, *cycles):
@@ -78,18 +78,17 @@ class Perm(GroupElement):
     def __mul__(self, other):
         if not isinstance(other, Perm) or len(other.img) != len(self.img):
             raise ValueError("cannot compose permutations of different shapes")
-        s = self.img
-        return Perm(s[j] for j in other.img)
+        return Perm(map(self.img.__getitem__, other.img), _checked=True)
 
     def inv(self):
         img = self.img
         out = [0] * len(img)
         for i, j in enumerate(img):
             out[j] = i
-        return Perm(out)
+        return Perm(out, _checked=True)
 
     def identity(self):
-        return Perm(range(len(self.img)))
+        return Perm.identity_of(len(self.img))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.img))

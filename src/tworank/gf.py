@@ -3,13 +3,18 @@
 Field elements are stored as integer codes: the element with coefficient
 vector (c_0, ..., c_{a-1}) over GF(p) gets code c_0 + c_1*p + ... +
 c_{a-1}*p^{a-1}.  Matrix entries elsewhere in the package are raw codes and
-go through the FieldSpec code-level operations; FieldElem is a thin wrapper
-for callers who want operator syntax.
+go through the FieldSpec code-level operations.
+
+Every field is table-backed: construction builds the digit table and the
+exp/log tables of a primitive element, and multiplication, powers,
+inverses and the Frobenius are table lookups.  Fields are capped at
+q <= 2^16 (FIELD_SIZE_CAP), which keeps the tables small; field_make
+raises ResourceLimitError above the cap.
 
 The modulus is the lexicographically smallest monic irreducible polynomial
 of the requested degree (high-degree coefficients compared first), so field
-construction is deterministic across runs.  Cross-field operations are hard
-errors, never coercions.
+construction is deterministic across runs.  A code does not record its
+field; Mat refuses to combine matrices over different fields.
 """
 
 from functools import lru_cache
@@ -17,8 +22,7 @@ from functools import lru_cache
 from .errors import ResourceLimitError
 from .partarith import factorize, is_prime
 
-FIELD_SIZE_CAP = 1 << 20
-_TABLE_CAP = 1 << 16  # below this, multiplication runs on exp/log tables
+FIELD_SIZE_CAP = 1 << 16
 
 
 def _poly_trim(v):
@@ -134,34 +138,22 @@ def _smallest_irreducible(p, a):
 
 
 class FieldSpec:
-    """GF(p^a) with code-level arithmetic. Immutable after construction."""
+    """GF(p^a) with table-backed code arithmetic. Immutable after construction."""
 
     def __init__(self, p, a, _token=None):
         if _token is not _FIELD_TOKEN:
             raise ValueError("use field_make(p, a), not the constructor")
         self.p = p
         self.a = a
-        self.q = p**a
+        self.q = q = p**a
         self.modulus = _smallest_irreducible(p, a)
         self._powers = tuple(p**i for i in range(a))
-        self._decode = None
-        self._log = None
-        self._exp = None
-        self._frob = None
-        if self.q <= _TABLE_CAP:
-            self._build_tables()
-
-    # -- construction helpers -------------------------------------------
-
-    def _build_tables(self):
-        p, a, q = self.p, self.a, self.q
         decode = []
         for c in range(q):
-            cc = c
             digits = []
             for _ in range(a):
-                digits.append(cc % p)
-                cc //= p
+                digits.append(c % p)
+                c //= p
             decode.append(tuple(digits))
         self._decode = tuple(decode)
         gen = self._find_generator()
@@ -192,50 +184,13 @@ class FieldSpec:
                 return c
         raise RuntimeError(f"GF({self.q}) unit group is not cyclic")
 
-    # -- code arithmetic -------------------------------------------------
-
-    def decode(self, c):
-        if self._decode is not None:
-            return self._decode[c]
-        digits = []
-        for _ in range(self.a):
-            digits.append(c % self.p)
-            c //= self.p
-        return tuple(digits)
-
-    def encode(self, coeffs):
-        return sum(c % self.p * w for c, w in zip(coeffs, self._powers))
-
-    def add_code(self, x, y):
-        if self.a == 1:
-            return (x + y) % self.p
-        dx, dy = self.decode(x), self.decode(y)
-        p = self.p
-        return self.encode(tuple((u + v) % p for u, v in zip(dx, dy)))
-
-    def neg_code(self, x):
-        if self.a == 1:
-            return (-x) % self.p
-        p = self.p
-        return self.encode(tuple((-u) % p for u in self.decode(x)))
-
-    def sub_code(self, x, y):
-        return self.add_code(x, self.neg_code(y))
+    # -- polynomial arithmetic: builds the tables, and is the tests' oracle
 
     def _mul_generic(self, x, y):
         if self.a == 1:
             return (x * y) % self.p
         prod = _poly_mulmod(list(self.decode(x)), list(self.decode(y)), list(self.modulus), self.p)
         return self.encode(tuple(prod) + (0,) * (self.a - len(prod)))
-
-    def mul_code(self, x, y):
-        if self.a == 1:
-            return (x * y) % self.p
-        if self._log is not None:
-            if x == 0 or y == 0:
-                return 0
-            return self._exp[self._log[x] + self._log[y]]
-        return self._mul_generic(x, y)
 
     def _pow_generic(self, x, e):
         result = 1
@@ -247,6 +202,37 @@ class FieldSpec:
             e >>= 1
         return result
 
+    # -- code arithmetic -------------------------------------------------
+
+    def decode(self, c):
+        return self._decode[c]
+
+    def encode(self, coeffs):
+        return sum(c % self.p * w for c, w in zip(coeffs, self._powers))
+
+    def add_code(self, x, y):
+        if self.a == 1:
+            return (x + y) % self.p
+        dx, dy = self._decode[x], self._decode[y]
+        p = self.p
+        return self.encode(tuple((u + v) % p for u, v in zip(dx, dy)))
+
+    def neg_code(self, x):
+        if self.a == 1:
+            return (-x) % self.p
+        p = self.p
+        return self.encode(tuple((-u) % p for u in self._decode[x]))
+
+    def sub_code(self, x, y):
+        return self.add_code(x, self.neg_code(y))
+
+    def mul_code(self, x, y):
+        if self.a == 1:
+            return (x * y) % self.p
+        if x == 0 or y == 0:
+            return 0
+        return self._exp[self._log[x] + self._log[y]]
+
     def pow_code(self, x, e):
         if x == 0:
             if e == 0:
@@ -254,125 +240,22 @@ class FieldSpec:
             if e < 0:
                 raise ZeroDivisionError("0 has no inverse")
             return 0
-        e %= self.q - 1
-        if self._log is not None:
-            return self._exp[self._log[x] * e % (self.q - 1)]
-        return self._pow_generic(x, e)
+        return self._exp[self._log[x] * e % (self.q - 1)]
 
     def inv_code(self, x):
         if x == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        if self.a == 1:
-            return pow(x, self.p - 2, self.p)
-        if self._log is not None:
-            return self._exp[(self.q - 1) - self._log[x]]
-        return self._pow_generic(x, self.q - 2)
+        return self._exp[(self.q - 1) - self._log[x]]
 
     def frob_code(self, x):
         """x^p, the absolute Frobenius."""
-        if self.a == 1:
-            return x
-        if self._frob is not None:
-            return self._frob[x]
-        return self.pow_code(x, self.p)
-
-    def mult_order(self, x):
-        if x == 0:
-            raise ValueError("0 has no multiplicative order")
-        order = self.q - 1
-        for r in factorize(order):
-            while order % r == 0 and self.pow_code(x, order // r) == 1:
-                order //= r
-        return order
-
-    # -- element-level API -----------------------------------------------
-
-    @property
-    def zero(self):
-        return FieldElem(self, 0)
-
-    @property
-    def one(self):
-        return FieldElem(self, 1)
-
-    def element(self, code):
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for GF({self.q})")
-        return FieldElem(self, code)
-
-    def elements(self):
-        return (FieldElem(self, c) for c in range(self.q))
+        return self._frob[x]
 
     def __repr__(self):
         return f"GF({self.q})"
 
     def __reduce__(self):
         return (field_make, (self.p, self.a))
-
-
-class FieldElem:
-    """An element of a FieldSpec; value-like, hashable, operator-friendly."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"cannot combine FieldElem with {type(other).__name__}")
-        if other.field is not self.field:
-            raise ValueError(f"mixed fields: {self.field} and {other.field}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElem(self.field, self.field.add_code(self.code, other.code))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElem(self.field, self.field.sub_code(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg_code(self.code))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElem(self.field, self.field.mul_code(self.code, other.code))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElem(self.field, self.field.mul_code(self.code, self.field.inv_code(other.code)))
-
-    def __pow__(self, e):
-        return FieldElem(self.field, self.field.pow_code(self.code, e))
-
-    def inv(self):
-        return FieldElem(self.field, self.field.inv_code(self.code))
-
-    def frobenius(self):
-        return FieldElem(self.field, self.field.frob_code(self.code))
-
-    def mult_order(self):
-        return self.field.mult_order(self.code)
-
-    @property
-    def coeffs(self):
-        return self.field.decode(self.code)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and other.field is self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        return f"{self.field}:{self.code}"
 
 
 _FIELD_TOKEN = object()
@@ -384,7 +267,7 @@ def _field_cached(p, a):
 
 
 def field_make(p: int, a: int = 1) -> FieldSpec:
-    """Construct (and intern) GF(p^a) for odd prime p, p^a <= 2^20.
+    """Construct (and intern) GF(p^a) for odd prime p, p^a <= 2^16.
 
     Interning guarantees one FieldSpec instance per (p, a), so identity
     checks between elements of "the same" field are reliable.
@@ -397,7 +280,3 @@ def field_make(p: int, a: int = 1) -> FieldSpec:
         raise ResourceLimitError(f"field size {p**a} exceeds cap {FIELD_SIZE_CAP}")
     return _field_cached(p, int(a))
 
-
-def frobenius(x: FieldElem) -> FieldElem:
-    """x^p. Applying it `a` times is the identity on GF(p^a)."""
-    return x.frobenius()

@@ -27,13 +27,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .dense import DenseGroup
-from .elements import Perm
 from .errors import ResourceLimitError
 from .groups import FiniteGroup, closure
 from .matgroup import (
     GLContext,
     borel_subgroup,
     gl_context_q,
+    gl_generators,
     monomial_subgroup,
     random_invertible,
     singer_normalizer,
@@ -371,7 +371,7 @@ def random_stream_campaign(
             stats.truncated += 1
     if ctx.order <= max_order:
         try:
-            emit(closure(_gl_generators(ctx), cap=max_order + 1), "ambient")
+            emit(closure(gl_generators(ctx), cap=max_order + 1), "ambient")
         except ResourceLimitError:
             stats.truncated += 1
     for name, grp in structured:
@@ -402,12 +402,15 @@ def lemma_a_campaign(
     Any VIOLATED verdict wins the aggregate and carries a full witness
     (it indicates an engine bug: the bound is a theorem in the hypothesis
     range)."""
-    ctx = gl_context_q(n, q)
     check = Check("lemma-a", {"n": n, "q": q, "mode": mode}, seed=seed)
+    try:
+        ctx = gl_context_q(n, q)
+    except ResourceLimitError as exc:
+        return check.skipped(exc), []
     if not ctx.hypothesis_ok():
         return check.not_applicable(hypothesis_ok=0), []
     if mode == "exhaustive":
-        ambient_gens = _gl_generators(ctx)
+        ambient_gens = gl_generators(ctx)
         try:
             ambient = closure(ambient_gens, cap=LATTICE_AMBIENT_CAP + 1)
             if ambient.order != ctx.order:
@@ -458,31 +461,6 @@ def lemma_a_campaign(
     else:
         counts["stream_complete"] = int(mode == "exhaustive")
     return check.result(not violated, counts, witness), verdicts
-
-
-def _gl_generators(ctx: GLContext):
-    """Generators of GL_n(q): a torus element, the two 2x2-block
-    transvections, and (for n > 2) a coordinate cycle."""
-    from .matgroup import Mat, block_perm_matrix
-
-    F, n = ctx.field, ctx.n
-    zeta = F.generator
-    gens = []
-    vals = [0] * (n * n)
-    for d in range(n):
-        vals[d * n + d] = 1
-    vals[0] = zeta
-    gens.append(Mat(F, n, vals, _checked=True))
-    if n > 1:
-        for (i, j) in ((0, 1), (1, 0)):
-            vals = [0] * (n * n)
-            for d in range(n):
-                vals[d * n + d] = 1
-            vals[i * n + j] = 1
-            gens.append(Mat(F, n, vals, _checked=True))
-    if n > 2:
-        gens.append(block_perm_matrix(F, n, Perm.from_cycles(n, tuple(range(n))), 1))
-    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ from .partarith import (
 from .report import Check, VerificationReport
 
 
+def hypothesis_ok(p: int) -> bool:
+    """The standing hypothesis on q = p^a: p >= 7 and p = 1 mod 3."""
+    return p >= 7 and p % 3 == 1
+
+
 @dataclass(frozen=True)
 class GLContext:
     """Ambient GL_n(q) with its exact order and hypothesis flags."""
@@ -58,20 +63,11 @@ class GLContext:
         return gl_order_two_part(self.n, self.q)
 
     @property
-    def p_at_least_7(self):
-        return self.p >= 7
-
-    @property
-    def p_is_1_mod_3(self):
-        return self.p % 3 == 1
-
-    @property
     def q_mod_4(self):
         return self.q % 4
 
     def hypothesis_ok(self):
-        """The standing hypothesis: q = p^a with p >= 7 and p = 1 mod 3."""
-        return self.p_at_least_7 and self.p_is_1_mod_3
+        return hypothesis_ok(self.p)
 
     def identity(self):
         return Mat.identity_of(self.field, self.n)
@@ -142,16 +138,24 @@ def sylow2_symmetric_gens(k: int):
     return gens, blocks
 
 
-def block_embed(field, n, small, offset):
-    """Embed an m x m matrix into the identity n x n at diagonal `offset`."""
-    m = small.n
+def identity_with(field, n, entries):
+    """The n x n identity matrix with entries[(i, j)] written at row i,
+    column j; the caller vouches that the result is invertible."""
     vals = [0] * (n * n)
     for i in range(n):
         vals[i * n + i] = 1
-    for i in range(m):
-        for j in range(m):
-            vals[(offset + i) * n + (offset + j)] = small.vals[i * m + j]
+    for (i, j), code in entries.items():
+        vals[i * n + j] = code
     return Mat(field, n, vals, _checked=True)
+
+
+def block_embed(field, n, small, offset):
+    """Embed an m x m matrix into the identity n x n at diagonal `offset`."""
+    m = small.n
+    return identity_with(
+        field, n,
+        {(offset + i, offset + j): small.vals[i * m + j] for i in range(m) for j in range(m)},
+    )
 
 
 def block_perm_matrix(field, n, perm, bsize):
@@ -351,11 +355,7 @@ def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
                 gens.append(block_perm_matrix(field, n, s, 2))
             construction = "WreathEven"
             if n % 2 == 1:
-                vals = [0] * (n * n)
-                for i in range(n):
-                    vals[i * n + i] = 1
-                vals[(n - 1) * n + (n - 1)] = field.neg_code(1)
-                gens.append(Mat(field, n, vals, _checked=True))
+                gens.append(identity_with(field, n, {(n - 1, n - 1): field.neg_code(1)}))
                 construction = "OddSplit"
     else:
         t2 = part_pow(q - 1, 2)
@@ -367,11 +367,7 @@ def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
             offsets.append(off)
             off += size
         for o in offsets:
-            vals = [0] * (n * n)
-            for i in range(n):
-                vals[i * n + i] = 1
-            vals[o * n + o] = zeta
-            gens.append(Mat(field, n, vals, _checked=True))
+            gens.append(identity_with(field, n, {(o, o): zeta}))
         for s in perm_gens:
             gens.append(block_perm_matrix(field, n, s, 1))
         construction = "DiagonalWreath"
@@ -413,14 +409,19 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
     params = {"statement": statement, "n": n, "q": q}
     check = Check(f"sylow2-gl.{statement}", params)
     try:
-        ctx = gl_context_q(n, q)
+        p, a = prime_power_decompose(q)
     except ValueError:
         return check.not_applicable()
-    if not ctx.hypothesis_ok() or not _statement_conditions(statement, n, q):
-        return check.not_applicable(
-            hypothesis_ok=int(ctx.hypothesis_ok()),
-            side_conditions_ok=int(_statement_conditions(statement, n, q)),
-        )
+    if p == 2 or n < 1:
+        return check.not_applicable()
+    if statement != 1:  # statement 1 is a formula in n and q; the others need GF(q)
+        try:
+            field_make(p, a)
+        except ResourceLimitError as exc:
+            return check.skipped(exc)
+    hypothesis, side = hypothesis_ok(p), _statement_conditions(statement, n, q)
+    if not hypothesis or not side:
+        return check.not_applicable(hypothesis_ok=int(hypothesis), side_conditions_ok=int(side))
     bound = geom_sum(q, n)
     counts = {"bound": bound}
     try:
@@ -491,24 +492,24 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
 # -- structured subgroups used by the sampled bound campaigns ----------------
 
 
+def gl_generators(ctx: GLContext):
+    """Generators of GL_n(q): a torus element, the two 2x2-block
+    transvections, and (for n > 2) a coordinate cycle."""
+    F, n = ctx.field, ctx.n
+    gens = [identity_with(F, n, {(0, 0): F.generator})]
+    if n > 1:
+        gens += [identity_with(F, n, {(0, 1): 1}), identity_with(F, n, {(1, 0): 1})]
+    if n > 2:
+        gens.append(block_perm_matrix(F, n, Perm.from_cycles(n, tuple(range(n))), 1))
+    return gens
+
+
 def borel_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
     """Upper-triangular invertible matrices: diagonal torus generators plus
     the superdiagonal transvections."""
     field, n = ctx.field, ctx.n
-    gens = []
-    zeta = field.generator if field.q > 2 else 1
-    for i in range(n):
-        vals = [0] * (n * n)
-        for d in range(n):
-            vals[d * n + d] = 1
-        vals[i * n + i] = zeta
-        gens.append(Mat(field, n, vals, _checked=True))
-    for i in range(n - 1):
-        vals = [0] * (n * n)
-        for d in range(n):
-            vals[d * n + d] = 1
-        vals[i * n + (i + 1)] = 1
-        gens.append(Mat(field, n, vals, _checked=True))
+    gens = [identity_with(field, n, {(i, i): field.generator}) for i in range(n)]
+    gens += [identity_with(field, n, {(i, i + 1): 1}) for i in range(n - 1)]
     group = closure(gens) if cap is None else closure(gens, cap=cap)
     expected = field.q ** (n * (n - 1) // 2) * (field.q - 1) ** n
     if group.order != expected:
@@ -520,14 +521,7 @@ def monomial_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
     """Monomial matrices: the diagonal torus extended by the permutation
     matrices of S_n."""
     field, n = ctx.field, ctx.n
-    gens = []
-    zeta = field.generator
-    for i in range(n):
-        vals = [0] * (n * n)
-        for d in range(n):
-            vals[d * n + d] = 1
-        vals[i * n + i] = zeta
-        gens.append(Mat(field, n, vals, _checked=True))
+    gens = [identity_with(field, n, {(i, i): field.generator}) for i in range(n)]
     if n > 1:
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, (0, 1)), 1))
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, tuple(range(n))), 1))

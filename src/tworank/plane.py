@@ -44,15 +44,21 @@ class IncidencePlane:
         self.points = tuple(triples)
         self.lines = tuple(triples)
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        add, mul = field.add_code, field.mul_code
+        add, mul, neg = field.add_code, field.mul_code, field.neg_code
+        # a line's points: with i the position of its leading 1, every
+        # (v[j], v[k]) in PG(1, q) extends to exactly one point on it
+        pg1 = [(1, t) for t in range(q)] + [(0, 1)]
         on_line = []
-        for a, b, c in self.lines:
-            pts = frozenset(
-                i
-                for i, (x, y, z) in enumerate(self.points)
-                if add(add(mul(a, x), mul(b, y)), mul(c, z)) == 0
-            )
-            on_line.append(pts)
+        for line in self.lines:
+            i = line.index(1)
+            j, k = [m for m in range(3) if m != i]
+            pts = []
+            for vj, vk in pg1:
+                v = [0, 0, 0]
+                v[j], v[k] = vj, vk
+                v[i] = neg(add(mul(line[j], vj), mul(line[k], vk)))
+                pts.append(self.point_index[self.normalize(v)])
+            on_line.append(frozenset(pts))
         self.points_on_line = tuple(on_line)
         self.line_index_by_set = {pts: i for i, pts in enumerate(on_line)}
         through = [[] for _ in self.points]
@@ -362,9 +368,8 @@ def gl3_collineation_generators(plane: IncidencePlane):
     """Collineations generating the full linear group action on the plane:
     a torus generator, a transvection, and a coordinate 3-cycle."""
     F = plane.field
-    zeta = F.generator if F.a > 1 or F.q > 3 else F.neg_code(1)
     mats = [
-        Mat.from_rows(F, [[zeta, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        Mat.from_rows(F, [[F.generator, 0, 0], [0, 1, 0], [0, 0, 1]]),
         Mat.from_rows(F, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
         Mat.from_rows(F, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
     ]

@@ -8,8 +8,7 @@ from tworank import constructions as lib
 from tworank.dense import DenseGroup
 from tworank.elements import Perm
 from tworank.groups import FiniteGroup, closure
-from tworank.lemma_a import _gl_generators
-from tworank.matgroup import gl_context_q
+from tworank.matgroup import gl_context_q, gl_generators
 
 
 def assert_rows_match_oracle(D, js):
@@ -46,7 +45,7 @@ def test_rows_match_object_products(build):
 
 
 def test_rows_match_object_products_gl27_sample():
-    G = closure(_gl_generators(gl_context_q(2, 7)))
+    G = closure(gl_generators(gl_context_q(2, 7)))
     D = DenseGroup(G)
     assert D.n == 2016
     assert_rows_match_oracle(D, random.Random(11).sample(range(D.n), 24))

@@ -30,6 +30,8 @@ def test_perm_cycles_roundtrip():
 def test_perm_rejects_non_bijection():
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
+    with pytest.raises(ValueError):
+        Perm([0, 0])
 
 
 def test_matrix_arithmetic_gf7():
@@ -63,7 +65,7 @@ def test_matrix_extension_field():
     F = field_make(3, 2)
     g = F.generator
     m = Mat.from_rows(F, [[g, 0], [0, 1]])
-    assert m.order() == F.mult_order(g) == 8
+    assert m.order() == F.q - 1 == 8
     assert m.is_scalar() is False
     assert Mat.scalar(F, 2, g).is_scalar()
 

@@ -11,6 +11,7 @@ from tworank.groups import (
     closure,
     is_generalized_quaternion,
 )
+from tworank.matgroup import gl_context_q, gl_generators
 
 
 def test_closure_s3():
@@ -52,7 +53,7 @@ def test_centralizer_examples():
     g = Perm.from_cycles(4, (0, 1), (2, 3))
     assert s4.centralizer(g).order == 8
     assert s4.centralizer(s4.identity).order == 24
-    gl = lib.gl2(7)
+    gl = closure(gl_generators(gl_context_q(2, 7)))
     F = field_make(7)
     d = Mat.from_rows(F, [[1, 0], [0, 6]])
     assert gl.centralizer(d).order == 36
@@ -67,7 +68,7 @@ def test_conj_class_examples():
     g = c6.gens[0]
     assert s4.conj_class(s4.identity) == (s4.identity,)
     assert len(c6.conj_class(g)) == 1  # abelian
-    gl = lib.gl2(7)
+    gl = closure(gl_generators(gl_context_q(2, 7)))
     d = Mat.from_rows(field_make(7), [[1, 0], [0, 6]])
     assert len(gl.conj_class(d)) == 56  # 2016 / 36
 

@@ -16,7 +16,7 @@ from tworank.lemma_a import (
     random_stream_campaign,
     sn_bound_check,
 )
-from tworank.matgroup import gl_context_q, sylow2_gl2
+from tworank.matgroup import gl_context_q, gl_generators, sylow2_gl2
 
 
 def test_lattice_s4_class_and_subgroup_counts():
@@ -68,9 +68,9 @@ def test_lattice_completeness_against_oracle(build):
 
 def test_lattice_contains_known_gl27_subgroups():
     ctx = gl_context_q(2, 7)
-    from tworank.lemma_a import _gl_generators, exhaustive_campaign
+    from tworank.lemma_a import exhaustive_campaign
 
-    ambient = closure(_gl_generators(ctx))
+    ambient = closure(gl_generators(ctx))
     assert ambient.order == 2016
     verdicts, stats, lattice = exhaustive_campaign(ctx, ambient)
     orders = {v.subgroup_order for v in verdicts}
@@ -81,7 +81,7 @@ def test_lattice_contains_known_gl27_subgroups():
 def test_lemma_a_check_gl27_instances():
     ctx = gl_context_q(2, 7)
     F = field_make(7)
-    full = lib.gl2(7)
+    full = closure(gl_generators(ctx))
     v = lemma_a_check(full, ctx)
     # -identity is central: the best involution has index 1
     assert v.verdict == "satisfied" and v.index == 1 and v.index_part == 1
@@ -121,7 +121,7 @@ def test_dense_and_object_checks_agree():
     from tworank.lemma_a import _dense_check
 
     ctx = gl_context_q(2, 7)
-    G = lib.gl2(7)
+    G = closure(gl_generators(ctx))
     D = DenseGroup(G)
     lat = SubgroupLattice(D)
     classes = lat.build()
@@ -142,7 +142,8 @@ def test_exhaustive_campaign_respects_lattice_cap():
     from tworank.errors import ResourceLimitError
 
     with pytest.raises(ResourceLimitError):
-        exhaustive_campaign(gl_context_q(2, 13), lib.gl2(13))
+        ctx = gl_context_q(2, 13)
+        exhaustive_campaign(ctx, closure(gl_generators(ctx)))
 
 
 def test_random_stream_deterministic():

@@ -30,6 +30,19 @@ def test_pg2_3_sizes():
     assert all(len(ls) == 4 for ls in P.lines_through_point)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25])
+def test_points_on_line_match_incidence_scan(q):
+    # oracle: a point lies on a line iff their dot product is zero
+    P = pg2(q)
+    add, mul = P.field.add_code, P.field.mul_code
+    for li, (a, b, c) in enumerate(P.lines):
+        scan = frozenset(
+            i for i, (x, y, z) in enumerate(P.points)
+            if add(add(mul(a, x), mul(b, y)), mul(c, z)) == 0
+        )
+        assert P.points_on_line[li] == scan
+
+
 def test_pg2_even_q_propagates_field_error():
     # characteristic-2 fields are outside the field module's contract, so
     # the plane constructor propagates the rejection

@@ -199,6 +199,27 @@ def test_cli_resource_cap_exit_code(capsys):
     assert json.loads(out.strip())["verdict"] == "skipped-resource"
 
 
+# GF(q) is capped at 2^16 elements: every command that needs a field above
+# the cap stops at once with a skipped-resource report; statement 1 of
+# sylow2 is a formula in n and q and builds no field.
+FIELD_CAP_RUNS = [
+    ("verify sylow2 --n 2 --q 1048583 --statement 3", 2, SKIPPED),
+    ("verify lemma-a --n 2 --q 1048583", 2, SKIPPED),
+    ("plane build --q 1048583", 2, SKIPPED),
+    ("verify sylow2 --n 2 --q 65539 --statement 3", 2, SKIPPED),
+    ("verify lemma-a --n 2 --q 65539 --mode random --trials 3", 2, SKIPPED),
+    ("verify counting --q 66049", 2, SKIPPED),  # 257^2
+    ("verify sylow2 --n 3 --q 65539 --statement 1", 0, VERIFIED),
+]
+
+
+@pytest.mark.parametrize("argv, code, verdict", FIELD_CAP_RUNS, ids=[a for a, _, _ in FIELD_CAP_RUNS])
+def test_cli_field_above_cap(argv, code, verdict, capsys):
+    assert run(argv.split() + ["--stable-output"]) == code
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["verdict"] == verdict
+
+
 def test_cli_lemma_a_random_csv(tmp_path, capsys):
     out = tmp_path / "verdicts.csv"
     code = run(["verify", "lemma-a", "--n", "2", "--q", "7", "--mode", "random",

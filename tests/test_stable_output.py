@@ -19,6 +19,7 @@ DIGESTS = [
     ("verify counting --q 9", "e66c6d8f237c1a79ef1679060a03f6330d687b09eb27df5a38bfc4ef607019e8"),
     ("census sylow2 --n 4 --q 7", "01f17dab7348f8965d355a5665f41a37c047865f7af764122bc36e2a954f12fd"),
     ("plane build --q 9", "ddc403a5970136d5ebb39349208e52dea6bd70a5582c1a5bac992dd418643413"),
+    ("plane build --q 25", "026a2248e0054f530a486fba4bb27e6170f36086c8c85d13b6276f077cdd9d23"),
     ("verify lemma-a --n 2 --q 7 --mode exhaustive",
      "42f8705ef9cf50c084f7832f1258f6e61ceb19a638f3a41b2d2d1b875ea3bcde"),
     ("verify lemma-a --n 2 --q 7 --mode random --seed 1 --trials 100",
