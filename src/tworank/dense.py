@@ -8,12 +8,15 @@ generators: one right and one left row per generator is built by object
 products, a breadth-first search under those rows records for every
 element j a parent p and generator s with elems[j] = elems[p] * s, and any
 other row is composed from its parent's row and the generator's row with
-integer lookups.  Rows are built lazily and cached; everything stays exact.
+integer lookups.  A conjugation row crow(j) composes lrow(j) with the
+right row of j's inverse.  Closures and conjugacy classes are
+orbit.orbit over these rows, so their inner loop is a list subscript.
+Rows are built lazily and cached; everything stays exact.
 """
 
 from collections import deque
 
-from .errors import ResourceLimitError
+from .orbit import orbit
 
 
 class DenseGroup:
@@ -33,6 +36,7 @@ class DenseGroup:
             self._rrows[j] = [index[x * g] for x in self.elems]
             self._lrows[j] = [index[g * x] for x in self.elems]
         self._parent, self._via = self._schreier_tree()
+        self._crows = {}
         self._inv = None
         self._orders = None
 
@@ -110,21 +114,9 @@ class DenseGroup:
     def close(self, seeds, gen_idxs, cap=None):
         """Indices of the subgroup generated by seeds and gens; seeds must
         contain the identity or be extendable by it."""
-        seen = dict.fromkeys(seeds)
-        if self.id_idx not in seen:
-            seen = dict.fromkeys([self.id_idx] + list(seeds))
-        rows = [self.rrow(j) for j in gen_idxs]
-        queue = deque(seen)
-        while queue:
-            x = queue.popleft()
-            for row in rows:
-                y = row[x]
-                if y not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise ResourceLimitError("dense closure cap", partial=len(seen))
-                    seen[y] = None
-                    queue.append(y)
-        return list(seen)
+        if self.id_idx not in seeds:
+            seeds = [self.id_idx, *seeds]
+        return orbit(seeds, [self.rrow(j) for j in gen_idxs], cap)
 
     def span(self, needed, cap=None):
         """(elements, generators) of the subgroup generated by `needed`,
@@ -141,26 +133,19 @@ class DenseGroup:
 
     # -- conjugacy ------------------------------------------------------------
 
-    def conj_rows(self, gen_idxs):
-        """(lrow(j), rrow(j^-1)) per index j: x -> lr[rr[x]] conjugates
-        elems[x] by elems[j]."""
-        inv = self.inv_table()
-        return [(self.lrow(j), self.rrow(inv[j])) for j in gen_idxs]
+    def crow(self, j):
+        """Conjugation row: crow(j)[i] = index of elems[j] * elems[i] * elems[j]^-1."""
+        row = self._crows.get(j)
+        if row is None:
+            lr = self.lrow(j)
+            row = self._crows[j] = [lr[x] for x in self.rrow(self.inv_table()[j])]
+        return row
 
     def class_orbit(self, i, gen_idxs=None):
         """The conjugacy class of index i under the subgroup generated by
         gen_idxs (the whole group by default), as a list of indices."""
-        rows = self.conj_rows(self.gen_idxs if gen_idxs is None else gen_idxs)
-        orbit = dict.fromkeys([i])
-        queue = deque([i])
-        while queue:
-            x = queue.popleft()
-            for lr, rr in rows:
-                y = lr[rr[x]]
-                if y not in orbit:
-                    orbit[y] = None
-                    queue.append(y)
-        return list(orbit)
+        gen_idxs = self.gen_idxs if gen_idxs is None else gen_idxs
+        return orbit([i], [self.crow(j) for j in gen_idxs])
 
     def classes(self):
         """All conjugacy classes as index lists, ordered by least member."""
@@ -168,9 +153,9 @@ class DenseGroup:
         classes = []
         for i in range(self.n):
             if i not in seen:
-                orbit = self.class_orbit(i)
-                seen.update(orbit)
-                classes.append(orbit)
+                cls = self.class_orbit(i)
+                seen.update(cls)
+                classes.append(cls)
         return classes
 
     # -- conversions ------------------------------------------------------------

@@ -10,33 +10,16 @@ subsample.  Normal subgroups and derived subgroups are closed on the
 integer-indexed DenseGroup view (dense.py), not on element objects.
 """
 
-from collections import deque
 from itertools import combinations
+from operator import mul
 
 from .dense import DenseGroup
 from .errors import ResourceLimitError
+from .orbit import Action, conjugation, orbit
 from .partarith import factorize, part_pow
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 DEFAULT_NORMAL_ENUM_CAP = 10_000
-
-
-def _bfs_closure(seeds, gens, cap):
-    """Product closure of `seeds` under right multiplication by `gens`."""
-    elems = dict.fromkeys(seeds)
-    queue = deque(elems)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = x * g
-            if y not in elems:
-                if len(elems) >= cap:
-                    raise ResourceLimitError(
-                        f"closure exceeded cap {cap}", partial=len(elems)
-                    )
-                elems[y] = None
-                queue.append(y)
-    return list(elems)
 
 
 class FiniteGroup:
@@ -80,7 +63,7 @@ class FiniteGroup:
 
     def materialize(self):
         if self._elements is None:
-            elems = _bfs_closure([self.identity], self.gens, self.cap)
+            elems = orbit([self.identity], [Action(mul, g) for g in self.gens], self.cap)
             self._elements = tuple(elems)
             self._element_set = frozenset(elems)
         return self
@@ -140,16 +123,7 @@ class FiniteGroup:
         """The conjugacy class g^H as a deterministic tuple."""
         if g not in self:
             raise ValueError("element lies outside the group")
-        orbit = dict.fromkeys([g])
-        queue = deque([g])
-        while queue:
-            x = queue.popleft()
-            for s in self.gens:
-                y = (s * x) * s.inv()
-                if y not in orbit:
-                    orbit[y] = None
-                    queue.append(y)
-        return tuple(orbit)
+        return tuple(orbit([g], conjugation(self.gens)))
 
     def conjugacy_classes(self):
         """All conjugacy classes, ordered by first appearance of a member."""
@@ -241,7 +215,7 @@ class FiniteGroup:
         while frontier:
             fresh = []
             for a, agens in frontier:
-                for b, bgens in list(found.items()):
+                for b, bgens in atoms:
                     if a >= b or a <= b:
                         continue
                     # A is normal, so AB is a subgroup: close A under B's gens
@@ -333,7 +307,11 @@ class FiniteGroup:
     # -- 2-rank and quaternion recognition ------------------------------------
 
     def two_rank(self):
-        """The largest r with an elementary abelian subgroup of order 2^r."""
+        """The largest r with an elementary abelian subgroup of order 2^r.
+
+        No verifier calls this: it is the tests' 2-rank oracle, checked
+        against a subgroup-lattice scan and used to test that 2-rank 1
+        means a cyclic or generalized quaternion Sylow 2-subgroup."""
         P = self.sylow_two()
         invs = P.involutions()
         if not invs:

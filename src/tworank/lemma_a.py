@@ -39,6 +39,7 @@ from .matgroup import (
     singer_normalizer,
     sylow2_gl,
 )
+from .orbit import Action, orbit
 from .partarith import geom_sum, heart_coprime
 from .report import Check, VerificationReport
 
@@ -78,6 +79,11 @@ VERDICT_CSV_HEADER = "order,involutions,best_index,part,bound,verdict"
 # Exhaustive subgroup lattice (up to conjugacy) on a dense group
 # ---------------------------------------------------------------------------
 
+def _image(S, row):
+    """The image of the index set S under a dense row."""
+    return frozenset(map(row.__getitem__, S))
+
+
 @dataclass
 class SubgroupClass:
     elems: frozenset
@@ -98,26 +104,16 @@ class SubgroupLattice:
         self.D = D
         self.by_set = {}
         self.classes = []
-        self._conj_rows = D.conj_rows(D.gen_idxs)
+        self._conjugations = [Action(_image, D.crow(j)) for j in D.gen_idxs]
 
     def _register(self, elems, gens):
         fs = frozenset(elems)
         if fs in self.by_set:
             return None
         cid = len(self.classes)
-        orbit = {fs}
-        self.by_set[fs] = cid
-        queue = deque([fs])
-        rows = self._conj_rows
-        while queue:
-            S = queue.popleft()
-            for lr, rr in rows:
-                T = frozenset(lr[rr[x]] for x in S)
-                if T not in self.by_set:
-                    self.by_set[T] = cid
-                    orbit.add(T)
-                    queue.append(T)
-        self.classes.append(SubgroupClass(fs, tuple(gens), len(fs), len(orbit)))
+        conjugates = orbit([fs], self._conjugations)
+        self.by_set.update(dict.fromkeys(conjugates, cid))
+        self.classes.append(SubgroupClass(fs, tuple(gens), len(fs), len(conjugates)))
         return cid
 
     def build(self):
@@ -166,24 +162,17 @@ class SubgroupLattice:
                 coset_rep.append(e)
                 for row in hrows:
                     coset_id[row[e]] = c
-        # orbit of cosets under left multiplication by the subgroup gens
+        # orbits of cosets under left multiplication by the subgroup gens
         gen_lrows = [D.lrow(g) for g in (cls.gens or sorted(cls.elems)[:1])]
+        coset_rows = [[coset_id[lrow[r]] for r in coset_rep] for lrow in gen_lrows]
         seen = [False] * len(coset_rep)
         seen[coset_id[D.id_idx]] = True
         reps = []
         for c in range(len(coset_rep)):
-            if seen[c]:
-                continue
-            reps.append(coset_rep[c])
-            queue = deque([c])
-            seen[c] = True
-            while queue:
-                x = queue.popleft()
-                for lrow in gen_lrows:
-                    y = coset_id[lrow[coset_rep[x]]]
-                    if not seen[y]:
-                        seen[y] = True
-                        queue.append(y)
+            if not seen[c]:
+                reps.append(coset_rep[c])
+                for y in orbit([c], coset_rows):
+                    seen[y] = True
         return reps
 
     def total_subgroups(self):
@@ -503,40 +492,50 @@ def is_primitive(H: FiniteGroup):
     degree = len(H.identity.img)
     if degree < 2:
         return False
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = g.img[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != degree:
+    if len(orbit([0], [g.img for g in gens])) != degree:
         return False
     return all(
         minimal_block_size(gens, degree, 0, beta) == degree for beta in range(1, degree)
     )
 
 
+def _log2_bounds(x: int, k: int) -> tuple:
+    """Integers lo <= 2^k * log2(x) <= hi, i.e. 2^lo <= x^(2^k) <= 2^hi.
+
+    x^(2^k) comes from k squarings of a mantissa-exponent pair m * 2^s
+    whose mantissa is cut back to k + 16 bits after each squaring, rounded
+    down for the lower bound and up for the upper one."""
+    prec = k + 16
+    bounds = []
+    for round_up in (False, True):
+        m, s = x, 0
+        for _ in range(k):
+            m, s = m * m, 2 * s
+            extra = m.bit_length() - prec
+            if extra > 0:
+                m = -(-m >> extra) if round_up else m >> extra
+                s += extra
+        bounds.append(s + (m - 1).bit_length() if round_up else s + m.bit_length() - 1)
+    return tuple(bounds)
+
+
 def _lt_pow_log2(h: int, n: int) -> bool:
     """Exact decision of h < n^{log2 n}: integer powers when n is a power
-    of two, otherwise certified high-precision comparison of log2(h) with
-    log2(n)^2, escalating precision until a margin is cleared."""
+    of two, otherwise log2(h) against log2(n)^2 on integer interval bounds
+    of 2^k * log2, doubling k until the intervals separate."""
     if h < 1 or n < 2:
         raise ValueError("need h >= 1 and n >= 2")
     if n & (n - 1) == 0:
         k = n.bit_length() - 1
         return h < n**k
-    import mpmath
-
-    for dps in (40, 80, 160, 320, 640):
-        with mpmath.workdps(dps):
-            lhs = mpmath.log(h, 2)
-            rhs = mpmath.log(n, 2) ** 2
-            margin = mpmath.mpf(10) ** (12 - dps)
-            if abs(lhs - rhs) > margin:
-                return lhs < rhs
+    for k in (32, 64, 128, 256, 512, 1024, 2048):
+        lo_h, hi_h = _log2_bounds(h, k)
+        lo_n, hi_n = _log2_bounds(n, k)
+        # 2^(2k) log2(h) against (2^k log2(n))^2
+        if hi_h << k < lo_n * lo_n:
+            return True
+        if lo_h << k > hi_n * hi_n:
+            return False
     raise ResourceLimitError("power comparison undecided at maximum precision")
 
 

@@ -10,7 +10,6 @@ the full group, so point-transitive groups far above the element cap can
 still be checked.
 """
 
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
@@ -19,6 +18,7 @@ from .errors import ResourceLimitError
 from .gf import field_make
 from .groups import FiniteGroup, closure
 from .matgroup import GLContext, singer_element
+from .orbit import conjugation, orbit
 from .partarith import prime_power_decompose
 from .report import VERIFIED, Check, VerificationReport
 
@@ -297,20 +297,8 @@ class PlaneGroup:
     def degree(self):
         return self.plane.num_points
 
-    def point_orbit(self, start=0):
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for g in self.gens:
-                y = g.img[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
     def is_transitive(self):
-        return len(self.point_orbit(0)) == self.degree
+        return len(orbit([0], [g.img for g in self.gens])) == self.degree
 
     def group(self):
         """The materialized permutation group (may hit the cap)."""
@@ -321,19 +309,7 @@ class PlaneGroup:
     def conj_class_of(self, perm, cap=DEFAULT_CLASS_CAP):
         """BFS of the conjugacy class of `perm` under the generators; does
         not require materializing the group."""
-        orbit = dict.fromkeys([perm])
-        queue = deque([perm])
-        inv_gens = [(g, g.inv()) for g in self.gens]
-        while queue:
-            x = queue.popleft()
-            for g, ginv in inv_gens:
-                y = (g * x) * ginv
-                if y not in orbit:
-                    if len(orbit) >= cap:
-                        raise ResourceLimitError("conjugacy class cap", partial=len(orbit))
-                    orbit[y] = None
-                    queue.append(y)
-        return tuple(orbit)
+        return tuple(orbit([perm], conjugation(self.gens), cap))
 
     def contains_certainly(self, perm):
         """Exact membership when the group is materialized or `perm` is a
@@ -482,23 +458,12 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
     if any(k.img[alpha] != alpha for k in K.gens):
         raise ValueError("K must fix the base point")
     fix = [i for i in range(degree) if all(k.img[i] == i for k in K.gens)]
-    fix_set = set(fix)
     kgens = K.gens
     normalizer = [
         h for h in big.elements
         if all((h * k) * h.inv() in kset for k in kgens)
     ]
-    orbit = {alpha}
-    queue = deque([alpha])
-    norm_perms = normalizer
-    while queue:
-        ptx = queue.popleft()
-        for h in norm_perms:
-            y = h.img[ptx]
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    side_transitive = orbit == fix_set
+    side_transitive = set(orbit([alpha], [h.img for h in normalizer])) == set(fix)
     stab = [h for h in big.elements if h.img[alpha] == alpha]
     k_sorted = kset
     conj_in_stab_G = set()
@@ -569,18 +534,8 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
             sub = closure(pair, cap=closure_budget)
         except ResourceLimitError:
             continue
-        if sub.order % 2 == 1:
-            orbit = {0}
-            queue = deque([0])
-            while queue:
-                ptx = queue.popleft()
-                for gp in sub.gens:
-                    y = gp.img[ptx]
-                    if y not in orbit:
-                        orbit.add(y)
-                        queue.append(y)
-            if len(orbit) == n_pts:
-                return sub, check.report(VERIFIED, {"witness_order": sub.order, "mode": 2})
+        if sub.order % 2 == 1 and len(orbit([0], [g.img for g in sub.gens])) == n_pts:
+            return sub, check.report(VERIFIED, {"witness_order": sub.order, "mode": 2})
     return None, check.not_applicable(exhausted=1)
 
 

@@ -17,6 +17,7 @@ def assert_rows_match_oracle(D, js):
         g = elems[j]
         assert D.rrow(j) == [index[x * g] for x in elems], j
         assert D.lrow(j) == [index[g * x] for x in elems], j
+        assert D.crow(j) == [index[(g * x) * g.inv()] for x in elems], j
 
 
 def shuffled_s4():

@@ -7,6 +7,7 @@ from tworank.gf import field_make
 from tworank.groups import closure
 from tworank.lemma_a import (
     SubgroupLattice,
+    _log2_bounds,
     _lt_pow_log2,
     all_subgroups_oracle,
     exhaustive_campaign,
@@ -184,6 +185,33 @@ def test_lt_pow_log2_exact_and_escalated():
     assert _lt_pow_log2(21, 7)
     assert _lt_pow_log2(235, 7)
     assert not _lt_pow_log2(236, 7)
+
+
+@pytest.mark.parametrize("x", range(1, 41))
+def test_log2_bounds_against_exact_powers(x):
+    for k in range(8):
+        lo, hi = _log2_bounds(x, k)
+        assert 2**lo <= x ** (2**k) <= 2**hi, (k, lo, hi)
+
+
+# floor(n^{log2 n}) for the non-powers of two in 3..40, computed with an
+# mpmath comparison at 40-640 decimal digits
+POW_LOG2_FLOORS = {
+    3: 5, 5: 41, 6: 102, 7: 235, 9: 1058, 10: 2098, 11: 4005, 12: 7393,
+    13: 13245, 14: 23105, 15: 39342, 17: 107007, 18: 171550, 19: 270428,
+    20: 419718, 21: 642106, 22: 969264, 23: 1444974, 24: 2129201,
+    25: 3103361, 26: 4477101, 27: 6396960, 28: 9057373, 29: 12714570,
+    30: 17704040, 31: 24462373, 33: 45707007, 34: 61850338, 35: 83169099,
+    36: 111164778, 37: 147731718, 38: 195249442, 39: 256694405,
+    40: 335774783,
+}
+
+
+@pytest.mark.parametrize("n", sorted(POW_LOG2_FLOORS))
+def test_lt_pow_log2_pinned_thresholds(n):
+    floor = POW_LOG2_FLOORS[n]
+    assert _lt_pow_log2(floor, n)
+    assert not _lt_pow_log2(floor + 1, n)
 
 
 def test_sn_bound_oddsn_examples():

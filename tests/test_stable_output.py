@@ -6,6 +6,7 @@ that means to alter output updates the digest and says why.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -34,3 +35,10 @@ def test_stable_output_digest(command, digest, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sn_bounds_runs_without_mpmath(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert run(["verify", "sn-bounds", "--stable-output"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(DIGESTS)["verify sn-bounds"]
