@@ -18,9 +18,9 @@ from .plane import (
     Collineation,
     PlaneGroup,
     counting_identity_check,
+    counting_instance,
     fixed_structure,
     fixpoint_transitivity_check,
-    frobenius_collineation,
     odd_transitive_search,
     pg2,
 )
@@ -61,8 +61,8 @@ def singer_normalizer_group(plane):
     if conj != s.point_perm**3:
         raise RuntimeError("normalizer element does not cube the Singer cycle")
     G = PlaneGroup(plane, [s, nu], cap=5000)
-    if G.group().order != 546:
-        raise RuntimeError(f"Singer normalizer has order {G.group().order}, expected 546")
+    if G.order != 546:
+        raise RuntimeError(f"Singer normalizer has order {G.order}, expected 546")
     return G
 
 
@@ -77,14 +77,13 @@ def _stabilizer_subgroups(G, alpha=0):
     return stab, out
 
 
-def fixtrans_battery(q=9):
+def fixtrans_battery():
     """At least ten (G, K) instances exercising both truth values of the
     fixed-point transitivity equivalence."""
     reports = []
-    plane = pg2(q)
-    SN = singer_normalizer_group(plane)
+    SN = singer_normalizer_group(pg2(9))
     stab, cyclics = _stabilizer_subgroups(SN)
-    ident_group = FiniteGroup._from_elements([SN.group().identity], [])
+    ident_group = FiniteGroup._from_elements([SN.identity], [])
     instances = [("pg-singer-normalizer/K=1", SN, ident_group)]
     for d in sorted(cyclics):
         if d > 1:
@@ -192,11 +191,7 @@ def quaternion_battery():
 
 def counting_battery(q=9):
     """The counting-ratio check plus the Baer fixed-structure check."""
-    from .plane import gl3_collineation_generators
-
-    plane = pg2(q)
-    fr = frobenius_collineation(plane)
-    G = PlaneGroup(plane, gl3_collineation_generators(plane) + [fr])
+    G, fr = counting_instance(pg2(q))
     reports = [counting_identity_check(G, fr)]
     check = Check("baer-fixed-structure", {"q": q})
     fs = fixed_structure(fr)

@@ -92,8 +92,6 @@ def build_parser():
     _add_common(p)
 
     p = vsub.add_parser("fixtrans")
-    p.add_argument("--q", type=int, choices=(9,), default=9,
-                   help="the battery's Singer normalizer is built for PG(2, 9) only")
     _add_common(p)
 
     p = vsub.add_parser("lemma-a")
@@ -156,27 +154,20 @@ def _tower_reports(args):
 
 
 def _counting_reports(args):
-    from .plane import (
-        PlaneGroup,
-        counting_identity_check,
-        frobenius_collineation,
-        gl3_collineation_generators,
-        pg2,
-    )
+    from .plane import counting_identity_check, counting_instance, pg2
 
     try:
         plane = pg2(args.q)
     except ResourceLimitError as exc:
         return [Check("plane-counting", {"q": args.q}).skipped(exc)]
-    fr = frobenius_collineation(plane)
-    G = PlaneGroup(plane, gl3_collineation_generators(plane) + [fr])
+    G, fr = counting_instance(plane)
     return [counting_identity_check(G, fr)]
 
 
 def _fixtrans_reports(args):
     from .acceptance_instances import fixtrans_battery
 
-    return fixtrans_battery(q=args.q)
+    return fixtrans_battery()
 
 
 def _lemma_a_reports(args):

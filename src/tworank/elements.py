@@ -32,10 +32,6 @@ class GroupElement:
             e >>= 1
         return result
 
-    def conj(self, g):
-        """g * self * g^{-1}."""
-        return g * self * g.inv()
-
     def __ne__(self, other):
         return not self.__eq__(other)
 

@@ -361,6 +361,12 @@ def closure(generators, cap=DEFAULT_ELEMENT_CAP):
     return FiniteGroup(list(generators), cap=cap).materialize()
 
 
+def is_transitive(G):
+    """Whether the permutation group G is transitive on its points; reads
+    only the generators."""
+    return len(orbit([0], [g.img for g in G.gens])) == len(G.identity.img)
+
+
 def is_generalized_quaternion(P):
     """Exact census test: a 2-group of order >= 8 with a unique involution
     that is not cyclic is generalized quaternion."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .dense import DenseGroup
 from .errors import ResourceLimitError
-from .groups import FiniteGroup, closure
+from .groups import FiniteGroup, closure, is_transitive
 from .matgroup import (
     GLContext,
     borel_subgroup,
@@ -61,7 +61,6 @@ class LemmaAVerdict:
     best_involution: str | None = None
     index: int | None = None
     index_part: int | None = None
-    source: str = "stream"
 
     def csv_row(self):
         return (
@@ -236,13 +235,13 @@ def involution_classes(invs, orbit):
             yield g, len(cls)
 
 
-def _verdict(order, gen_reprs, invs, orbit, show, ctx, source) -> LemmaAVerdict:
+def _verdict(order, gen_reprs, invs, orbit, show, ctx) -> LemmaAVerdict:
     """The involution class with the least (heart part, index) against the
     geometric bound; the first class met wins ties.  show(g) renders the
     witness."""
     bound = geom_sum(ctx.q, ctx.n)
     if order % 2:
-        return LemmaAVerdict(order, gen_reprs, 0, ODD_SKIP, bound, source=source)
+        return LemmaAVerdict(order, gen_reprs, 0, ODD_SKIP, bound)
     witness, index = min(
         involution_classes(invs, orbit), key=lambda c: (heart_coprime(c[1], ctx.p), c[1])
     )
@@ -251,22 +250,21 @@ def _verdict(order, gen_reprs, invs, orbit, show, ctx, source) -> LemmaAVerdict:
     return LemmaAVerdict(
         order, gen_reprs, len(invs), verdict, bound,
         best_involution=show(witness), index=index, index_part=part,
-        source=source,
     )
 
 
-def _dense_check(D: DenseGroup, elems, gens, ctx: GLContext, source="stream") -> LemmaAVerdict:
+def _dense_check(D: DenseGroup, elems, gens, ctx: GLContext) -> LemmaAVerdict:
     """lemma_a_check on a subgroup of D given by element and generator
     indices; involutions are walked in index order."""
     orders = D.orders()
     invs = sorted(i for i in elems if orders[i] == 2)
     return _verdict(
         len(elems), tuple(repr(D.elems[g]) for g in gens), invs,
-        lambda i: D.class_orbit(i, gens), lambda i: repr(D.elems[i]), ctx, source,
+        lambda i: D.class_orbit(i, gens), lambda i: repr(D.elems[i]), ctx
     )
 
 
-def lemma_a_check(H: FiniteGroup, ctx: GLContext, source="direct") -> LemmaAVerdict:
+def lemma_a_check(H: FiniteGroup, ctx: GLContext) -> LemmaAVerdict:
     """Best involution heart-part index of H against the geometric bound.
 
     The reported involution minimizes the p'-heart part of its centralizer
@@ -274,9 +272,7 @@ def lemma_a_check(H: FiniteGroup, ctx: GLContext, source="direct") -> LemmaAVerd
     representatives suffice)."""
     H.materialize()
     invs = H.involutions() if H.order % 2 == 0 else ()
-    return _verdict(
-        H.order, tuple(repr(g) for g in H.gens), invs, H.conj_class, repr, ctx, source,
-    )
+    return _verdict(H.order, tuple(repr(g) for g in H.gens), invs, H.conj_class, repr, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +310,7 @@ def exhaustive_campaign(ctx: GLContext, ambient: FiniteGroup) -> tuple:
     classes = lattice.build()
     verdicts = []
     for cls in classes:
-        verdicts.append(_dense_check(D, cls.elems, cls.gens or (D.id_idx,), ctx, source="lattice"))
+        verdicts.append(_dense_check(D, cls.elems, cls.gens or (D.id_idx,), ctx))
     stats = StreamStats(mode="ExhaustiveLattice", emitted=len(classes))
     return verdicts, stats, lattice
 
@@ -335,36 +331,32 @@ def random_stream_campaign(
     if max_candidates is None:
         max_candidates = 4 * count_target
 
-    def emit(H, source):
+    def emit(H):
         key = _group_key(H)
         if key in seen:
             stats.duplicates += 1
             return
         seen.add(key)
-        verdicts.append(lemma_a_check(H, ctx, source=source))
+        verdicts.append(lemma_a_check(H, ctx))
         stats.emitted += 1
 
     structured = []
     try:
-        structured.append(("sylow2", sylow2_gl(ctx.n, ctx.q).group))
+        structured.append(sylow2_gl(ctx.n, ctx.q).group)
     except (ResourceLimitError, RuntimeError):
         stats.truncated += 1
-    for name, builder in (
-        ("borel", borel_subgroup),
-        ("monomial", monomial_subgroup),
-        ("singer-normalizer", singer_normalizer),
-    ):
+    for builder in (borel_subgroup, monomial_subgroup, singer_normalizer):
         try:
-            structured.append((name, builder(ctx, cap=250_000)))
+            structured.append(builder(ctx, cap=250_000))
         except ResourceLimitError:
             stats.truncated += 1
     if ctx.order <= max_order:
         try:
-            emit(closure(gl_generators(ctx), cap=max_order + 1), "ambient")
+            emit(closure(gl_generators(ctx), cap=max_order + 1))
         except ResourceLimitError:
             stats.truncated += 1
-    for name, grp in structured:
-        emit(grp, name)
+    for grp in structured:
+        emit(grp)
     while stats.emitted < count_target and stats.candidates < max_candidates:
         stats.candidates += 1
         k = rng.choices((1, 2, 3), weights=(70, 25, 5))[0]
@@ -374,7 +366,7 @@ def random_stream_campaign(
         except ResourceLimitError:
             stats.truncated += 1
             continue
-        emit(H, f"random-{k}gen")
+        emit(H)
     return verdicts, stats
 
 
@@ -490,9 +482,7 @@ def is_primitive(H: FiniteGroup):
     """Transitive with only trivial blocks."""
     gens = H.gens
     degree = len(H.identity.img)
-    if degree < 2:
-        return False
-    if len(orbit([0], [g.img for g in gens])) != degree:
+    if degree < 2 or not is_transitive(H):
         return False
     return all(
         minimal_block_size(gens, degree, 0, beta) == degree for beta in range(1, degree)

@@ -69,9 +69,6 @@ class GLContext:
     def hypothesis_ok(self):
         return hypothesis_ok(self.p)
 
-    def identity(self):
-        return Mat.identity_of(self.field, self.n)
-
 
 def gl_context(n: int, p: int, a: int = 1) -> GLContext:
     if n < 1:
@@ -220,14 +217,7 @@ def _torus_two_part_generator(field, q):
     odd = (q * q - 1) // target
     for c1 in range(q):
         for c0 in range(q):
-            has_root = any(
-                field.add_code(
-                    field.add_code(field.mul_code(x, x), field.mul_code(c1, x)), c0
-                )
-                == 0
-                for x in range(q)
-            )
-            if has_root:
+            if _has_root(field, (c0, c1)):
                 continue
             companion = Mat.from_rows(
                 field, [[0, field.neg_code(c0)], [1, field.neg_code(c1)]]

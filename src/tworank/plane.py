@@ -3,20 +3,20 @@ counting checks.
 
 Planes are the Desarguesian PG(2, q): points are canonical projective
 triples over GF(q) (first nonzero coordinate 1), lines the dual triples,
-incidence the zero dot product.  Collineation groups are built from
-explicit generators (matrix-induced maps plus field automorphisms); the
-conjugacy-class and orbit computations deliberately avoid materializing
-the full group, so point-transitive groups far above the element cap can
-still be checked.
+incidence the zero dot product.  A collineation group is a PlaneGroup:
+the FiniteGroup of its generators' point permutations (matrix-induced maps
+plus field automorphisms), closed lazily under a cap like any FiniteGroup.
+Conjugacy classes and point orbits run straight off the generators, so
+point-transitive groups far above the element cap can still be checked.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import isqrt
 
 from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import field_make
-from .groups import FiniteGroup, closure
+from .groups import FiniteGroup, closure, is_transitive
 from .matgroup import GLContext, singer_element
 from .orbit import conjugation, orbit
 from .partarith import prime_power_decompose
@@ -173,14 +173,6 @@ class Collineation:
     def order(self):
         return self.point_perm.order()
 
-    def __mul__(self, other):
-        if other.plane is not self.plane:
-            raise ValueError("collineations of different planes")
-        return Collineation(self.plane, self.point_perm * other.point_perm)
-
-    def inv(self):
-        return Collineation(self.plane, self.point_perm.inv())
-
     def __eq__(self, other):
         return isinstance(other, Collineation) and self.plane is other.plane and self.point_perm == other.point_perm
 
@@ -213,7 +205,6 @@ class FixedStructure:
     num_lines: int
     subplane_order: int | None
     spectrum: str  # for square plane order x = u^2: u2+u+1 | u2+1 | u2+2 | other | below-u2
-    fixed_points: tuple = dc_field(default=(), repr=False)
 
 
 def _subplane_order(plane, point_set):
@@ -272,60 +263,29 @@ def fixed_structure(g: Collineation) -> FixedStructure:
         spectrum = "u2+2"
     else:
         spectrum = "other"
-    return FixedStructure(len(fp), len(fl), sub, spectrum, fp)
+    return FixedStructure(len(fp), len(fl), sub, spectrum)
 
 
-class PlaneGroup:
-    """A collineation group given by generators.
+class PlaneGroup(FiniteGroup):
+    """A collineation group of a plane, as the permutation group of its
+    point permutations.
 
-    Orbit and conjugacy-class computations run straight off the generators;
-    the full element set is only materialized on demand (and under a cap),
-    so groups the size of the full collineation group remain usable for
-    class-based checks.
+    The conjugacy class of an element is a BFS off the generators, so
+    groups far above the element cap can still be checked by class; the
+    element set is closed only when a check needs it, under `cap`.
     """
 
     def __init__(self, plane, collineations, cap=DEFAULT_GROUP_CAP):
+        super().__init__([c.point_perm for c in collineations], cap=cap)
         self.plane = plane
-        self.collineations = list(collineations)
-        if not self.collineations:
-            raise ValueError("need at least one generator")
-        self.gens = [c.point_perm for c in self.collineations]
-        self.cap = cap
-        self._group = None
-
-    @property
-    def degree(self):
-        return self.plane.num_points
-
-    def is_transitive(self):
-        return len(orbit([0], [g.img for g in self.gens])) == self.degree
-
-    def group(self):
-        """The materialized permutation group (may hit the cap)."""
-        if self._group is None:
-            self._group = closure(self.gens, cap=self.cap)
-        return self._group
 
     def conj_class_of(self, perm, cap=DEFAULT_CLASS_CAP):
         """BFS of the conjugacy class of `perm` under the generators; does
         not require materializing the group."""
         return tuple(orbit([perm], conjugation(self.gens), cap))
 
-    def contains_certainly(self, perm):
-        """Exact membership when the group is materialized or `perm` is a
-        generator/inverse/product thereof found during a short probe."""
-        if perm in self.gens:
-            return True
-        if self._group is not None:
-            return perm in self._group
-        try:
-            return perm in self.group()
-        except ResourceLimitError:
-            return False
-
     def point_stabilizer(self, alpha=0):
-        G = self.group()
-        elems = [g for g in G.elements if g.img[alpha] == alpha]
+        elems = [g for g in self.elements if g.img[alpha] == alpha]
         return FiniteGroup._from_elements(elems, [], cap=self.cap, name="stabilizer")
 
 
@@ -352,6 +312,13 @@ def gl3_collineation_generators(plane: IncidencePlane):
     return [Collineation.from_matrix(plane, m) for m in mats]
 
 
+def counting_instance(plane: IncidencePlane):
+    """(G, fr) for the counting check: G is generated by the linear group
+    and the Baer involution fr, the Frobenius collineation."""
+    fr = frobenius_collineation(plane)
+    return PlaneGroup(plane, gl3_collineation_generators(plane) + [fr]), fr
+
+
 def baer_prime_condition(u: int) -> dict:
     """Hypothesis check on the subplane point count m = u^2 + u + 1: every
     prime divisor is 1 mod 3 or equals 3, and 9 does not divide m."""
@@ -366,7 +333,7 @@ def baer_prime_condition(u: int) -> dict:
     }
 
 
-def counting_identity_check(G: PlaneGroup, g) -> VerificationReport:
+def counting_identity_check(G: PlaneGroup, g: Collineation) -> VerificationReport:
     """For a point-transitive G on a plane of square order u^2 in which all
     conjugates of the involution g fix u^2+u+1 points:
     |g^G| / |g^G n G_alpha| must equal u^2-u+1 exactly.
@@ -376,17 +343,20 @@ def counting_identity_check(G: PlaneGroup, g) -> VerificationReport:
     """
     plane = G.plane
     check = Check("plane-counting", {"q": plane.order})
-    if isinstance(g, Collineation):
-        g = g.point_perm
+    g = g.point_perm
     x = plane.order
     u = isqrt(x)
     if u * u != x or u < 2:
         return check.not_applicable(reason_square_order=0)
     if g.is_identity() or not (g * g).is_identity():
         return check.not_applicable(reason_involution=0)
-    if not G.contains_certainly(g):
-        raise ValueError("the candidate involution is not known to lie in the group")
-    if not G.is_transitive():
+    try:
+        member = g in G.gens or g in G
+    except ResourceLimitError as exc:
+        return check.skipped(exc)
+    if not member:
+        raise ValueError("the candidate involution does not lie in the group")
+    if not is_transitive(G):
         return check.not_applicable(reason_transitive=0)
     baer_count = u * u + u + 1
     try:
@@ -436,20 +406,16 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
     """Equivalence check: N_G(K) is transitive on Fix(K) if and only if
     every G-conjugate of K inside G_alpha is already a G_alpha-conjugate.
 
-    G may be a PlaneGroup or any materialized permutation FiniteGroup; both
-    sides are computed exhaustively.
+    G is any permutation FiniteGroup, a PlaneGroup included; both sides are
+    computed exhaustively.
     """
     params = {}
     check = Check("fix-transitivity", params)
-    if isinstance(G, PlaneGroup):
-        try:
-            big = G.group()
-        except ResourceLimitError as exc:
-            return check.skipped(exc)
-        degree = G.degree
-    else:
+    try:
         big = G.materialize()
-        degree = len(big.identity.img)
+    except ResourceLimitError as exc:
+        return check.skipped(exc)
+    degree = len(big.identity.img)
     params["G_order"] = big.order
     params["K_order"] = K.order
     kset = K.element_set
@@ -504,10 +470,10 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
     n_pts = plane.num_points
     check = Check("odd-transitive", {"q": plane.order}, seed=seed)
     rng = _random.Random(seed)
-    if not G.is_transitive():
+    if not is_transitive(G):
         return None, check.not_applicable(reason_transitive=0)
     try:
-        big = G.group()
+        big = G.materialize()
         universe = list(big.elements)
     except ResourceLimitError:
         universe = None
@@ -534,13 +500,13 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
             sub = closure(pair, cap=closure_budget)
         except ResourceLimitError:
             continue
-        if sub.order % 2 == 1 and len(orbit([0], [g.img for g in sub.gens])) == n_pts:
+        if sub.order % 2 == 1 and is_transitive(sub):
             return sub, check.report(VERIFIED, {"witness_order": sub.order, "mode": 2})
     return None, check.not_applicable(exhausted=1)
 
 
 def _random_word(G: PlaneGroup, rng, length=12):
-    w = G.gens[0].identity()
+    w = G.identity
     for _ in range(rng.randrange(2, length)):
         w = w * rng.choice(G.gens)
     return w

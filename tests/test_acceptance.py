@@ -130,7 +130,7 @@ def test_criterion_09_fixpoint_transitivity():
     c = Criterion(9, 120.0)
     from tworank.acceptance_instances import fixtrans_battery
 
-    reports = fixtrans_battery(q=9)
+    reports = fixtrans_battery()
     assert len(reports) >= 10
     assert all(r.verdict == "verified" for r in reports)
     sides = {

@@ -2,12 +2,13 @@ import pytest
 
 from tworank.acceptance_instances import pair_action_of_s4, singer_normalizer_group
 from tworank.elements import Mat, Perm
-from tworank.groups import closure
+from tworank.groups import closure, is_transitive
 from tworank.matgroup import GLContext, singer_element
 from tworank.plane import (
     Collineation,
     PlaneGroup,
     counting_identity_check,
+    counting_instance,
     fixed_structure,
     fixpoint_transitivity_check,
     frobenius_collineation,
@@ -101,9 +102,7 @@ def test_identity_fixed_structure():
 
 
 def test_counting_identity_on_pg9():
-    P = pg2(9)
-    fr = frobenius_collineation(P)
-    G = PlaneGroup(P, gl3_collineation_generators(P) + [fr])
+    G, fr = counting_instance(pg2(9))
     r = counting_identity_check(G, fr)
     assert r.verdict == "verified"
     assert r.counts["ratio"] == 7
@@ -166,10 +165,9 @@ def test_singer_matrix_pinned(q, rows):
 
 def test_singer_normalizer_group_structure():
     SN = singer_normalizer_group(pg2(9))
-    G = SN.group()
-    assert G.order == 546
-    assert SN.is_transitive()
-    invs = G.involutions()
+    assert SN.order == 546
+    assert is_transitive(SN)
+    invs = SN.involutions()
     assert invs
     fs = fixed_structure(Collineation(SN.plane, invs[0]))
     assert fs.num_points == 13 and fs.subplane_order == 3
@@ -200,7 +198,7 @@ def test_fixpoint_transitivity_trivial_k():
     from tworank.groups import FiniteGroup
 
     SN = singer_normalizer_group(pg2(9))
-    K = FiniteGroup._from_elements([SN.group().identity], [])
+    K = FiniteGroup._from_elements([SN.identity], [])
     r = fixpoint_transitivity_check(SN, K)
     assert r.verdict == "verified"
     assert r.counts["fix_size"] == 91

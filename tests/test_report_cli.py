@@ -14,6 +14,7 @@ from tworank.groups import closure
 from tworank.lemma_a import lemma_a_campaign, sn_bound_check
 from tworank.matgroup import verify_sylowtwoingln
 from tworank.plane import (
+    Collineation,
     PlaneGroup,
     counting_identity_check,
     fixpoint_transitivity_check,
@@ -159,7 +160,8 @@ def test_cli_report_merge(tmp_path, capsys):
 def test_cli_usage_errors():
     assert run(["frobnicate"]) == 3
     assert run(["verify", "sylow2", "--n", "2"]) == 3  # missing --q
-    assert run(["verify", "fixtrans", "--q", "25"]) == 3  # battery is built on PG(2, 9) only
+    assert run(["verify", "fixtrans", "--q", "25"]) == 3  # fixtrans takes no --q
+    assert run(["verify", "fixtrans", "--q", "9"]) == 3
     assert run(["verify", "tower", "--cap", "5"]) == 3  # --cap only where a cap is read
     # a bad --q or --n is a usage error, not a violation (exit 1)
     for argv in (
@@ -272,6 +274,19 @@ def _intransitive_pg9():
     return PlaneGroup(fr.plane, [fr]), fr
 
 
+def _counting_membership_over_cap():
+    # a conjugate of fr lies in G but is no generator, so testing its
+    # membership closes G, which stops at the cap
+    P = pg2(9)
+    fr = frobenius_collineation(P)
+    G = PlaneGroup(P, gl3_collineation_generators(P) + [fr], cap=10)
+    f = fr.point_perm
+    t = next(g for g in G.gens if g * f != f * g)
+    h = (t * f) * t.inv()
+    assert h not in G.gens
+    return counting_identity_check(G, Collineation(P, h))
+
+
 def _fixtrans_over_cap():
     P = pg2(3)
     G = PlaneGroup(P, gl3_collineation_generators(P), cap=10)
@@ -303,6 +318,7 @@ def _tower_all_odd():
                      id="counting-intransitive"),
         pytest.param(lambda: odd_transitive_search(_intransitive_pg9()[0])[1], NOT_APPLICABLE,
                      id="odd-transitive-intransitive"),
+        pytest.param(_counting_membership_over_cap, SKIPPED, id="counting-membership-over-cap"),
         pytest.param(_fixtrans_over_cap, SKIPPED, id="fixtrans-over-cap"),
         pytest.param(lambda: verify_sylowtwoingln(1, 2, 7), NOT_APPLICABLE,
                      id="sylow2-side-conditions"),
