@@ -15,7 +15,10 @@ Two stream modes feed the check:
   no-dedup oracle on small ambients.
 * RandomGenerated: seeded closures of 1-3 random elements, deduplicated,
   plus the structured families (Sylow-2, Borel, monomial, Singer
-  normalizer, and the ambient itself when it fits the cap).
+  normalizer, and the ambient itself when it fits the cap).  Closures run
+  on matgroup.RowCodec integer codes, and duplicates are dropped by the
+  order plus a sha256 of the sorted codes, so Mat elements are built only
+  for the subgroups that are emitted and checked.
 
 Also here: the primitive permutation-group bound harnesses (odd-order
 groups against n^{log2 n}, even-order ones against 42^{(n-2)/2}).
@@ -31,6 +34,7 @@ from .errors import ResourceLimitError
 from .groups import FiniteGroup, closure, is_transitive
 from .matgroup import (
     GLContext,
+    RowCodec,
     borel_subgroup,
     gl_context_q,
     gl_generators,
@@ -288,14 +292,12 @@ class StreamStats:
     candidates: int = 0
 
 
-def _group_key(H: FiniteGroup):
-    """Cheap dedup key: order plus a digest of the sorted element keys.
-    Collisions would only merge two distinct stream entries, never alter a
+def _group_key(codes):
+    """Dedup key of a subgroup given by its element codes: the order plus
+    the sha256 of the sorted codes.  It holds 32 bytes whatever the order;
+    a collision would only merge two distinct stream entries, never alter a
     verdict."""
-    h = hashlib.sha256()
-    for key in sorted(repr(k) for k in (g.key() for g in H.elements)):
-        h.update(key.encode())
-    return (H.order, h.hexdigest())
+    return (len(codes), hashlib.sha256(repr(sorted(codes)).encode()).digest())
 
 
 def exhaustive_campaign(ctx: GLContext, ambient: FiniteGroup) -> tuple:
@@ -323,22 +325,37 @@ def random_stream_campaign(
     max_candidates: int | None = None,
 ) -> tuple:
     """lemma_a verdicts over seeded random closures plus structured
-    families; dedup by element-set digest, truncations flagged."""
+    families; dedup by element-set digest, truncations flagged.
+
+    Closures run on RowCodec codes; a group's Mat elements are built only
+    when it is emitted."""
     rng = random.Random(seed)
     stats = StreamStats(mode="RandomGenerated")
     verdicts = []
     seen = set()
     if max_candidates is None:
         max_candidates = 4 * count_target
+    codec = RowCodec(ctx.field, ctx.n)
 
-    def emit(H):
-        key = _group_key(H)
+    def emit(codes, group):
+        """Check group() unless a group with these element codes came
+        before."""
+        key = _group_key(codes)
         if key in seen:
             stats.duplicates += 1
             return
         seen.add(key)
-        verdicts.append(lemma_a_check(H, ctx))
+        verdicts.append(lemma_a_check(group(), ctx))
         stats.emitted += 1
+
+    def emit_closure(gens, cap):
+        """Close <gens> on codes and emit; past `cap` it is truncated."""
+        try:
+            gen_codes, codes = codec.closure(gens, cap)
+        except ResourceLimitError:
+            stats.truncated += 1
+            return
+        emit(codes, lambda: codec.group(gen_codes, codes, cap))
 
     structured = []
     try:
@@ -351,22 +368,13 @@ def random_stream_campaign(
         except ResourceLimitError:
             stats.truncated += 1
     if ctx.order <= max_order:
-        try:
-            emit(closure(gl_generators(ctx), cap=max_order + 1))
-        except ResourceLimitError:
-            stats.truncated += 1
+        emit_closure(gl_generators(ctx), max_order + 1)
     for grp in structured:
-        emit(grp)
+        emit([codec.encode(g) for g in grp.elements], grp.materialize)
     while stats.emitted < count_target and stats.candidates < max_candidates:
         stats.candidates += 1
         k = rng.choices((1, 2, 3), weights=(70, 25, 5))[0]
-        gens = [random_invertible(ctx, rng) for _ in range(k)]
-        try:
-            H = closure(gens, cap=max_order)
-        except ResourceLimitError:
-            stats.truncated += 1
-            continue
-        emit(H)
+        emit_closure([random_invertible(ctx, rng) for _ in range(k)], max_order)
     return verdicts, stats
 
 

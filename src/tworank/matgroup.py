@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import FieldSpec, field_make
-from .groups import FiniteGroup, closure
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, closure
+from .orbit import orbit
 from .partarith import (
     geom_sum,
     gl_order,
@@ -479,6 +480,140 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
     return check.result(ok, counts, witness)
 
 
+# -- GL_n(q) elements as packed row codes ---------------------------------------
+
+
+class _RowMap:
+    """x -> x g on packed codes: row code v of x goes to image(v), the
+    code of the row v g.
+
+    scaled[i][v] is image(v) times base^i, so the image of x is one lookup
+    per row, least significant row first.  A row is computed on first use,
+    so the tables hold the rows the closure meets, never all q^n."""
+
+    __slots__ = ("image", "scaled", "base")
+
+    def __init__(self, image, base, n):
+        self.image = image
+        self.scaled = [{} for _ in range(n)]
+        self.base = base
+
+    def _learn(self, x):
+        """Compute the rows of x not seen before, then map x."""
+        base, scaled = self.base, self.scaled
+        rest = x
+        for _ in scaled:
+            rest, v = divmod(rest, base)
+            if v not in scaled[0]:
+                w = self.image(v)
+                for i, t in enumerate(scaled):
+                    t[v] = w * base**i
+        return self[x]
+
+    def __getitem__(self, x):
+        base, y, rest = self.base, 0, x
+        try:
+            for t in self.scaled:
+                rest, v = divmod(rest, base)
+                y += t[v]
+        except KeyError:
+            return self._learn(x)
+        return y
+
+
+class _PairRowMap(_RowMap):
+    """_RowMap unrolled for 2 x 2 matrices."""
+
+    __slots__ = ()
+
+    def __getitem__(self, x):
+        lo, hi = self.scaled
+        v, w = divmod(x, self.base)
+        try:
+            return hi[v] + lo[w]
+        except KeyError:
+            return self._learn(x)
+
+
+class RowCodec:
+    """Elements of GL_n(q) as packed integers, for closures that build no
+    Mat.
+
+    A row (c_0, ..., c_{n-1}) of field codes has row code c_0 q^{n-1} +
+    ... + c_{n-1}; a matrix packs its n row codes in base q^n, first row
+    most significant, so numeric order of codes is the order of Mat.key().
+    Right multiplication by g acts on each row on its own, so x -> x g is
+    one lookup per row in the table t[v] = v g (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 4.1)."""
+
+    def __init__(self, field: FieldSpec, n: int):
+        self.field = field
+        self.n = n
+        self.base = field.q**n
+        self.identity = self.encode(Mat.identity_of(field, n))
+
+    def encode(self, g: Mat) -> int:
+        q, x = self.field.q, 0
+        for c in g.vals:
+            x = x * q + c
+        return x
+
+    def _digits(self, x, count):
+        """The `count` base-q digits of x, most significant first."""
+        q, out = self.field.q, [0] * count
+        for i in range(count - 1, -1, -1):
+            x, out[i] = divmod(x, q)
+        return out
+
+    def decode(self, x: int) -> Mat:
+        return Mat(self.field, self.n, self._digits(x, self.n * self.n), _checked=True)
+
+    def row_map(self, g: int) -> _RowMap:
+        """The map x -> x g on codes, for the element with code g."""
+        F, n, q = self.field, self.n, self.field.q
+        vals = self._digits(g, n * n)
+        cols = [vals[j::n] for j in range(n)]
+        if F.a == 1:
+            def dot(row, col):
+                return sum(map(int.__mul__, row, col)) % q
+        else:
+            def dot(row, col):
+                acc = 0
+                for a, b in zip(row, col):
+                    acc = F.add_code(acc, F.mul_code(a, b))
+                return acc
+
+        def image(v):
+            row, code = self._digits(v, n), 0
+            for col in cols:
+                code = code * q + dot(row, col)
+            return code
+
+        return (_PairRowMap if n == 2 else _RowMap)(image, self.base, n)
+
+    def closure(self, gens, cap):
+        """(generator codes, element codes) of <gens>, closed exactly as
+        FiniteGroup(gens, cap) closes them: generators sorted by key with
+        duplicates and the identity dropped, then the breadth-first orbit
+        of the identity under right multiplication, capped at `cap`."""
+        codes = sorted(set(map(self.encode, gens)) - {self.identity}) or [self.identity]
+        return codes, orbit([self.identity], [self.row_map(g) for g in codes], cap)
+
+    def group(self, gen_codes, codes, cap) -> FiniteGroup:
+        """The FiniteGroup whose generators and elements (in this order)
+        have the given codes."""
+        decode = self.decode
+        return FiniteGroup._from_elements(map(decode, codes), map(decode, gen_codes), cap=cap)
+
+
+def code_closure(ctx: GLContext, gens, cap=None) -> FiniteGroup:
+    """closure(gens, cap) run on RowCodec codes: the same group with its
+    elements in the same order, one Mat built per element."""
+    codec = RowCodec(ctx.field, ctx.n)
+    cap = DEFAULT_ELEMENT_CAP if cap is None else cap
+    return codec.group(*codec.closure(gens, cap), cap)
+
+
 # -- structured subgroups used by the sampled bound campaigns ----------------
 
 
@@ -500,7 +635,7 @@ def borel_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
     field, n = ctx.field, ctx.n
     gens = [identity_with(field, n, {(i, i): field.generator}) for i in range(n)]
     gens += [identity_with(field, n, {(i, i + 1): 1}) for i in range(n - 1)]
-    group = closure(gens) if cap is None else closure(gens, cap=cap)
+    group = code_closure(ctx, gens, cap)
     expected = field.q ** (n * (n - 1) // 2) * (field.q - 1) ** n
     if group.order != expected:
         raise RuntimeError(f"Borel subgroup has order {group.order}, expected {expected}")
@@ -515,7 +650,7 @@ def monomial_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
     if n > 1:
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, (0, 1)), 1))
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, tuple(range(n))), 1))
-    return closure(gens) if cap is None else closure(gens, cap=cap)
+    return code_closure(ctx, gens, cap)
 
 
 def singer_element(ctx: GLContext) -> Mat:
@@ -575,8 +710,7 @@ def singer_normalizer(ctx: GLContext, cap=None) -> FiniteGroup:
     twist = next(iter(_twist_elements(field, s, s**field.q)), None)
     if twist is None:
         raise RuntimeError("no invertible Singer twist found")
-    group = closure([s, twist]) if cap is None else closure([s, twist], cap=cap)
-    return group
+    return code_closure(ctx, [s, twist], cap)
 
 
 def random_invertible(ctx: GLContext, rng) -> Mat:

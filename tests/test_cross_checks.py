@@ -14,9 +14,6 @@ import pytest
 
 from tworank import constructions as lib
 from tworank.dense import DenseGroup
-from tworank.elements import Perm
-from tworank.errors import ResourceLimitError
-from tworank.groups import closure
 from tworank.lemma_a import all_subgroups_oracle, lemma_a_campaign
 from tworank.matgroup import sylow2_gl, wreath_involution_count
 

@@ -154,6 +154,42 @@ def test_random_stream_deterministic():
     assert [vv.subgroup_order for vv in v1] == [vv.subgroup_order for vv in v2]
     assert [vv.index_part for vv in v1] == [vv.index_part for vv in v2]
     assert (s1.emitted, s1.truncated) == (s2.emitted, s2.truncated)
+    assert (s1.duplicates, s1.candidates) == (s2.duplicates, s2.candidates)
+
+
+@pytest.mark.parametrize("max_order", [30000, 400])
+def test_random_stream_dedup(monkeypatch, max_order):
+    """Emitted subgroups have pairwise distinct element sets, no two
+    distinct element sets share a dedup key, and every offered group is
+    emitted, a duplicate or truncated."""
+    from tworank import lemma_a
+
+    checked = []
+    sets_by_key = {}
+
+    def recording_check(H, ctx):
+        checked.append(H)
+        return lemma_a_check(H, ctx)
+
+    def recording_key(codes):
+        key = group_key(codes)
+        sets_by_key.setdefault(key, set()).add(frozenset(codes))
+        return key
+
+    group_key = lemma_a._group_key
+    monkeypatch.setattr(lemma_a, "lemma_a_check", recording_check)
+    monkeypatch.setattr(lemma_a, "_group_key", recording_key)
+    ctx = gl_context_q(2, 7)
+    verdicts, stats = random_stream_campaign(ctx, seed=4, count_target=60, max_order=max_order)
+    assert len(checked) == len(verdicts) == stats.emitted
+    assert len({H.element_set for H in checked}) == stats.emitted
+    assert all(len(sets) == 1 for sets in sets_by_key.values())
+    assert len(sets_by_key) == stats.emitted
+    assert stats.duplicates > 0
+    # Sylow-2, Borel, monomial, Singer normalizer, and the ambient GL_2(7)
+    # when it fits under max_order
+    offered = 4 + (ctx.order <= max_order) + stats.candidates
+    assert stats.emitted + stats.duplicates + stats.truncated == offered
 
 
 def test_campaign_not_applicable_outside_hypotheses():

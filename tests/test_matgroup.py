@@ -1,15 +1,21 @@
+import random
+
 import pytest
 
 from tworank.elements import Mat
+from tworank.errors import ResourceLimitError
 from tworank.gf import field_make
 from tworank.matgroup import (
     CENSUS_CSV_HEADER,
+    RowCodec,
     borel_subgroup,
     census_csv_row,
+    code_closure,
     gl_context,
     gl_context_q,
     involution_census,
     monomial_subgroup,
+    random_invertible,
     singer_element,
     singer_normalizer,
     sylow2_gl,
@@ -204,3 +210,79 @@ def test_structured_families_gl213():
     ctx = gl_context_q(2, 13)
     assert borel_subgroup(ctx).order == 13 * 144
     assert singer_normalizer(ctx).order == 2 * (13 * 13 - 1)
+
+
+# -- packed row codes against the Mat closure ----------------------------------
+
+
+@pytest.mark.parametrize("n,q", [(2, 7), (3, 7), (2, 25)])
+def test_row_codec_round_trip_and_order(n, q):
+    ctx = gl_context_q(n, q)
+    codec = RowCodec(ctx.field, ctx.n)
+    rng = random.Random(5)
+    mats = [random_invertible(ctx, rng) for _ in range(40)] + [Mat.identity_of(ctx.field, n)]
+    codes = [codec.encode(g) for g in mats]
+    assert [codec.decode(c) for c in codes] == mats
+    assert codec.identity == codec.encode(Mat.identity_of(ctx.field, n))
+    assert sorted(codes) == [codec.encode(g) for g in sorted(mats, key=lambda g: g.key())]
+    for g in mats[:5]:
+        m = codec.row_map(codec.encode(g))
+        assert all(codec.decode(m[x]) == h * g for x, h in zip(codes, mats))
+
+
+def _oracle_cases(ctx):
+    """Generator lists: monomial generators with the identity and a
+    duplicate thrown in, and seeded random lists of one to three
+    elements, some of which close past the cap."""
+    F, n = ctx.field, ctx.n
+    ident = Mat.identity_of(F, n)
+    mono = list(monomial_subgroup(ctx).gens)
+    cases = [mono + [ident, mono[0]], [ident], [ident, ident]]
+    rng = random.Random(11)
+    cases += [[random_invertible(ctx, rng) for _ in range(1 + i % 3)] for i in range(12)]
+    return cases
+
+
+@pytest.mark.parametrize("n,q", [(2, 7), (3, 7), (2, 25)])
+def test_code_closure_matches_mat_closure(n, q):
+    """Same generators, same elements in the same breadth-first order, and
+    the same ResourceLimitError partial over the cap."""
+    ctx = gl_context_q(n, q)
+    codec = RowCodec(ctx.field, ctx.n)
+    cap = 2000
+    closed = capped = 0
+    for gens in _oracle_cases(ctx):
+        try:
+            H = closure(gens, cap=cap)
+        except ResourceLimitError as exc:
+            with pytest.raises(ResourceLimitError) as got:
+                codec.closure(gens, cap)
+            assert got.value.partial == exc.partial
+            with pytest.raises(ResourceLimitError):
+                code_closure(ctx, gens, cap)
+            capped += 1
+            continue
+        gen_codes, codes = codec.closure(gens, cap)
+        assert [codec.decode(c) for c in gen_codes] == list(H.gens)
+        assert [codec.decode(c) for c in codes] == list(H.elements)
+        K = code_closure(ctx, gens, cap)
+        assert K.gens == H.gens and K.elements == H.elements and K.cap == H.cap
+        closed += 1
+    assert closed >= 4 and capped >= 1
+
+
+def test_row_tables_hold_only_the_rows_met():
+    """Over GL_2(65521) a full row table would have q^2 ~ 4.3e9 entries;
+    the closure of a group of order 8 computes a few rows per generator."""
+    ctx = gl_context_q(2, 65521)
+    F = ctx.field
+    minus = F.neg_code(1)
+    gens = [Mat(F, 2, (0, 1, 1, 0)), Mat(F, 2, (minus, 0, 0, 1))]
+    codec = RowCodec(F, 2)
+    gen_codes, codes = codec.closure(gens, 100)
+    assert [codec.decode(c) for c in codes] == list(closure(gens).elements)
+    assert len(codes) == 8
+    for g in gen_codes:
+        m = codec.row_map(g)
+        assert all(m[x] in codes for x in codes)
+        assert all(len(t) <= 2 * len(codes) for t in m.scaled)
