@@ -31,11 +31,12 @@ from dataclasses import dataclass
 
 from .dense import DenseGroup
 from .errors import ResourceLimitError
-from .groups import FiniteGroup, closure, is_transitive
+from .groups import FiniteGroup, is_transitive
 from .matgroup import (
     GLContext,
     RowCodec,
     borel_subgroup,
+    code_closure,
     gl_context_q,
     gl_generators,
     monomial_subgroup,
@@ -401,7 +402,7 @@ def lemma_a_campaign(
     if mode == "exhaustive":
         ambient_gens = gl_generators(ctx)
         try:
-            ambient = closure(ambient_gens, cap=LATTICE_AMBIENT_CAP + 1)
+            ambient = code_closure(ctx, ambient_gens, cap=LATTICE_AMBIENT_CAP + 1)
             if ambient.order != ctx.order:
                 raise RuntimeError(
                     f"ambient closure has order {ambient.order}, expected {ctx.order}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import FieldSpec, field_make
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, closure
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
 from .orbit import orbit
 from .partarith import (
     geom_sum,
@@ -276,7 +276,7 @@ def sylow2_gl2(q: int) -> SylowTwoDescriptor:
     t2 = part_pow(q + 1, 2)
     central = a**t2  # the unique involution of the torus 2-part: -identity
     b = _torus_inverting_element(field, a, q, central)
-    group = closure([a, b])
+    group = code_closure(ctx, [a, b])
     relations = {
         "a_order": a.order(),
         "b_order": b.order(),
@@ -362,7 +362,7 @@ def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
         for s in perm_gens:
             gens.append(block_perm_matrix(field, n, s, 1))
         construction = "DiagonalWreath"
-    group = closure(gens) if cap is None else closure(gens, cap=cap)
+    group = code_closure(ctx, gens, cap)
     total, central = _census(group)
     return SylowTwoDescriptor(
         context=ctx,
@@ -521,20 +521,6 @@ class _RowMap:
         return y
 
 
-class _PairRowMap(_RowMap):
-    """_RowMap unrolled for 2 x 2 matrices."""
-
-    __slots__ = ()
-
-    def __getitem__(self, x):
-        lo, hi = self.scaled
-        v, w = divmod(x, self.base)
-        try:
-            return hi[v] + lo[w]
-        except KeyError:
-            return self._learn(x)
-
-
 class RowCodec:
     """Elements of GL_n(q) as packed integers, for closures that build no
     Mat.
@@ -589,7 +575,7 @@ class RowCodec:
                 code = code * q + dot(row, col)
             return code
 
-        return (_PairRowMap if n == 2 else _RowMap)(image, self.base, n)
+        return _RowMap(image, self.base, n)
 
     def closure(self, gens, cap):
         """(generator codes, element codes) of <gens>, closed exactly as
