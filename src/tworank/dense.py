@@ -10,13 +10,17 @@ element j a parent p and generator s with elems[j] = elems[p] * s, and any
 other row is composed from its parent's row and the generator's row with
 integer lookups.  A conjugation row crow(j) composes lrow(j) with the
 right row of j's inverse.  Closures and conjugacy classes are
-orbit.orbit over these rows, so their inner loop is a list subscript.
+orbit.orbit over these rows, so their inner loop is a list subscript; a
+closure stops once it passes the largest order a proper subgroup can have
+(Lagrange), since it is then the whole group.
 Rows are built lazily and cached; everything stays exact.
 """
 
 from collections import deque
 
+from .errors import ResourceLimitError
 from .orbit import orbit
+from .partarith import largest_proper_divisor
 
 
 class DenseGroup:
@@ -39,6 +43,7 @@ class DenseGroup:
         self._crows = {}
         self._inv = None
         self._orders = None
+        self._proper_max = largest_proper_divisor(self.n)
 
     def _schreier_tree(self):
         """BFS from the identity under the right generator rows:
@@ -111,14 +116,24 @@ class DenseGroup:
 
     # -- closures -----------------------------------------------------------
 
-    def close(self, seeds, gen_idxs, cap=None):
+    def close(self, seeds, gen_idxs):
         """Indices of the subgroup generated by seeds and gens; seeds must
-        contain the identity or be extendable by it."""
+        contain the identity or be extendable by it.
+
+        Precondition: the orbit of the seeds under right multiplication by
+        the gens is a subgroup (the seeds lie in <gens>, or they form a
+        normal subgroup that the gens extend).  Then an orbit that passes
+        largest_proper_divisor(n) elements is the whole group by Lagrange,
+        and the closure stops there and returns every index."""
         if self.id_idx not in seeds:
             seeds = [self.id_idx, *seeds]
-        return orbit(seeds, [self.rrow(j) for j in gen_idxs], cap)
+        rows = [self.rrow(j) for j in gen_idxs]
+        try:
+            return orbit(seeds, rows, self._proper_max)
+        except ResourceLimitError:
+            return list(range(self.n))
 
-    def span(self, needed, cap=None):
+    def span(self, needed):
         """(elements, generators) of the subgroup generated by `needed`,
         with a greedily chosen small generating subset (all indices)."""
         gens = []
@@ -127,7 +142,7 @@ class DenseGroup:
         for x in needed:
             if x not in current:
                 gens.append(x)
-                elems = self.close(elems, gens, cap=cap)
+                elems = self.close(elems, gens)
                 current = set(elems)
         return elems, gens
 

@@ -18,7 +18,11 @@ Two stream modes feed the check:
   normalizer, and the ambient itself when it fits the cap).  Closures run
   on matgroup.RowCodec integer codes, and duplicates are dropped by the
   order plus a sha256 of the sorted codes, so Mat elements are built only
-  for the subgroups that are emitted and checked.
+  for the subgroups that are emitted and checked.  A candidate's closure
+  stops once it passes |G|/p elements, p the least prime dividing |G|: by
+  Lagrange it is then GL_n(q) itself, the ambient's duplicate when the
+  ambient fits the cap (it is emitted first) and truncated otherwise.
+  The lattice's closures (DenseGroup.close) stop the same way.
 
 Also here: the primitive permutation-group bound harnesses (odd-order
 groups against n^{log2 n}, even-order ones against 42^{(n-2)/2}).
@@ -45,7 +49,7 @@ from .matgroup import (
     sylow2_gl,
 )
 from .orbit import Action, orbit
-from .partarith import geom_sum, heart_coprime
+from .partarith import geom_sum, heart_coprime, largest_proper_divisor
 from .report import Check, VerificationReport
 
 LATTICE_AMBIENT_CAP = 2500
@@ -185,7 +189,9 @@ class SubgroupLattice:
 
 def all_subgroups_oracle(D: DenseGroup):
     """Every subgroup as an element-index frozenset, with no conjugacy
-    shortcut.  Exponential-ish; for self-tests on ambients of order <= 500."""
+    shortcut.  Exponential-ish; for self-tests on ambients of order <= 500.
+    Closures are plain orbits without DenseGroup.close's Lagrange stop, so
+    the lattice's use of that stop is checked against them."""
     if D.n > ORACLE_AMBIENT_CAP:
         raise ResourceLimitError(f"oracle capped at ambient order {ORACLE_AMBIENT_CAP}")
     found = {frozenset([D.id_idx]): ()}
@@ -217,7 +223,7 @@ def all_subgroups_oracle(D: DenseGroup):
                 covered.add(row[e])
             if e in elems:
                 continue
-            K = frozenset(D.close(helems, list(gens) + [e]))
+            K = frozenset(orbit(helems, [D.rrow(j) for j in (*gens, e)]))
             if K not in found:
                 kg = tuple(gens) + (e,)
                 found[K] = kg
@@ -329,7 +335,7 @@ def random_stream_campaign(
     families; dedup by element-set digest, truncations flagged.
 
     Closures run on RowCodec codes; a group's Mat elements are built only
-    when it is emitted."""
+    when it is emitted.  Candidate closures stop at |G|/p elements."""
     rng = random.Random(seed)
     stats = StreamStats(mode="RandomGenerated")
     verdicts = []
@@ -337,6 +343,7 @@ def random_stream_campaign(
     if max_candidates is None:
         max_candidates = 4 * count_target
     codec = RowCodec(ctx.field, ctx.n)
+    ambient_fits = ctx.order <= max_order
 
     def emit(codes, group):
         """Check group() unless a group with these element codes came
@@ -350,11 +357,16 @@ def random_stream_campaign(
         stats.emitted += 1
 
     def emit_closure(gens, cap):
-        """Close <gens> on codes and emit; past `cap` it is truncated."""
+        """Close <gens> on codes and emit; past `cap` it is truncated.
+        When the ambient fits max_order only a candidate closure can pass
+        its cap, |G|/p: it is then GL_n(q), the ambient's duplicate."""
         try:
             gen_codes, codes = codec.closure(gens, cap)
         except ResourceLimitError:
-            stats.truncated += 1
+            if ambient_fits:
+                stats.duplicates += 1
+            else:
+                stats.truncated += 1
             return
         emit(codes, lambda: codec.group(gen_codes, codes, cap))
 
@@ -368,14 +380,16 @@ def random_stream_campaign(
             structured.append(builder(ctx, cap=250_000))
         except ResourceLimitError:
             stats.truncated += 1
-    if ctx.order <= max_order:
+    if ambient_fits:
         emit_closure(gl_generators(ctx), max_order + 1)
     for grp in structured:
         emit([codec.encode(g) for g in grp.elements], grp.materialize)
+    # a closure past |G|/p elements is G itself (Lagrange): stop it there
+    cap = min(max_order, largest_proper_divisor(ctx.order))
     while stats.emitted < count_target and stats.candidates < max_candidates:
         stats.candidates += 1
         k = rng.choices((1, 2, 3), weights=(70, 25, 5))[0]
-        emit_closure([random_invertible(ctx, rng) for _ in range(k)], max_order)
+        emit_closure([random_invertible(ctx, rng) for _ in range(k)], cap)
     return verdicts, stats
 
 

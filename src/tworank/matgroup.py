@@ -658,6 +658,10 @@ def singer_element(ctx: GLContext) -> Mat:
         c = tuple(reversed(coeffs))
         if c[0] == 0:
             continue  # x divides it
+        if n == 2 and c[1] == 0:
+            # a root a of x^2 + c_0 has a^2 in GF(q)*, so its order
+            # divides 2(q - 1) < q^2 - 1: never primitive
+            continue
         if n > 1 and _has_root(field, c):
             continue  # a linear factor: reducible, so not primitive
         vals = [[0] * n for _ in range(n)]

@@ -78,6 +78,28 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def largest_proper_divisor(n: int) -> int:
+    """n // p for the least prime p dividing n (1 for n = 1).
+
+    By Lagrange's theorem a proper subgroup of a group of order n has at
+    most this many elements, so a subgroup that passes it is the whole
+    group (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, section 4.1)."""
+    if n < 1:
+        raise ValueError(f"expected n >= 1, got {n}")
+    if n % 2 == 0:
+        return n // 2
+    d = 3
+    limit = min(isqrt(n), _TRIAL_LIMIT)
+    while d <= limit:
+        if n % d == 0:
+            return n // d
+        d += 2
+    if n == 1 or is_prime(n):
+        return 1
+    raise ResourceLimitError(f"least prime factor of {n} exceeds trial-division bound")
+
+
 @dataclass(frozen=True)
 class PartedInteger:
     """A nonnegative integer together with its prime factorization."""

@@ -9,6 +9,8 @@ from tworank.dense import DenseGroup
 from tworank.elements import Perm
 from tworank.groups import FiniteGroup, closure
 from tworank.matgroup import gl_context_q, gl_generators
+from tworank.orbit import orbit
+from tworank.tower import random_identity_campaign
 
 
 def assert_rows_match_oracle(D, js):
@@ -57,3 +59,45 @@ def test_generators_short_of_the_elements_raise():
     G = FiniteGroup._from_elements(S4.elements, [Perm.from_cycles(4, (0, 1))])
     with pytest.raises(RuntimeError):
         DenseGroup(G)
+
+
+# -- the Lagrange stop of close against a plain orbit ---------------------------
+
+
+def plain_close(D, seeds, gen_idxs):
+    """The closure with no stop: the whole orbit under the right rows."""
+    return set(orbit([D.id_idx, *seeds], [D.rrow(j) for j in gen_idxs]))
+
+
+def test_close_matches_plain_orbit_gl27_sample():
+    G = closure(gl_generators(gl_context_q(2, 7)))
+    D = DenseGroup(G)
+    rng = random.Random(3)
+    whole = proper = 0
+    for _ in range(60):
+        hgens = rng.sample(range(D.n), rng.choice((1, 1, 2)))
+        H = sorted(plain_close(D, [], hgens))
+        gens = hgens + [rng.randrange(D.n)]
+        got = D.close(H, gens)
+        assert len(got) == len(set(got))
+        assert set(got) == plain_close(D, H, gens)
+        whole += len(got) == D.n
+        proper += len(got) < D.n
+    assert whole >= 5 and proper >= 5
+
+
+def test_close_matches_plain_orbit_on_tower_joins(monkeypatch):
+    """Every close the tower campaign makes (normal-subgroup joins and
+    spans) gives the element set of the plain orbit."""
+    real = DenseGroup.close
+    calls = []
+
+    def checked(self, seeds, gen_idxs):
+        got = real(self, seeds, gen_idxs)
+        assert set(got) == plain_close(self, seeds, gen_idxs)
+        calls.append(len(got) == self.n > 1)
+        return got
+
+    monkeypatch.setattr(DenseGroup, "close", checked)
+    random_identity_campaign(seed=1, trials=10)
+    assert len(calls) > 100 and any(calls)

@@ -268,3 +268,36 @@ def test_sn_bound_involution_examples():
     assert sn_bound_check("sninvolutions", lib.cyclic(4)).verdict == "not-applicable"
     with pytest.raises(ValueError):
         sn_bound_check("nonsense", lib.symmetric(4))
+
+
+@pytest.mark.parametrize("max_order", [30000, 1500, 400])
+def test_random_stream_stop_matches_full_closures(monkeypatch, max_order):
+    """Stopping candidate closures at |G|/p changes no count and no
+    verdict.  On GL_2(7) (|G|/p = 1008), 30000 sends the stopped closures
+    to the ambient's duplicates, 1500 truncates them at the stop, and 400
+    truncates at the cap before the stop."""
+    from tworank import lemma_a
+    from tworank.errors import ResourceLimitError
+    from tworank.matgroup import RowCodec
+
+    real = RowCodec.closure
+    stopped_at = []
+
+    def recording_closure(self, gens, cap):
+        try:
+            return real(self, gens, cap)
+        except ResourceLimitError:
+            stopped_at.append(cap)
+            raise
+
+    def parts(run):
+        verdicts, stats = run
+        return [(v.subgroup_order, v.verdict, v.index, v.index_part) for v in verdicts], stats
+
+    ctx = gl_context_q(2, 7)
+    monkeypatch.setattr(RowCodec, "closure", recording_closure)
+    fast = parts(random_stream_campaign(ctx, seed=1, count_target=100, max_order=max_order))
+    assert stopped_at and set(stopped_at) == {min(max_order, ctx.order // 2)}
+    monkeypatch.setattr(lemma_a, "largest_proper_divisor", lambda n: n)
+    slow = parts(random_stream_campaign(ctx, seed=1, count_target=100, max_order=max_order))
+    assert fast == slow

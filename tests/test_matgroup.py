@@ -212,6 +212,36 @@ def test_structured_families_gl213():
     assert singer_normalizer(ctx).order == 2 * (13 * 13 - 1)
 
 
+def first_primitive_companion(ctx):
+    """The 2x2 scan with no shortcut: the first x^2 + c_1 x + c_0, c_1
+    slowest, whose companion matrix has order q^2 - 1."""
+    F, q = ctx.field, ctx.q
+    full = q * q - 1
+    primes = [r for r in range(2, full + 1) if full % r == 0 and all(r % d for d in range(2, r))]
+    ident = Mat.identity_of(F, 2)
+    for c1 in range(q):
+        for c0 in range(1, q):
+            m = Mat.from_rows(F, [[0, F.neg_code(c0)], [1, F.neg_code(c1)]])
+            if m**full == ident and all(m ** (full // r) != ident for r in primes):
+                return m
+    raise AssertionError("no primitive polynomial")
+
+
+@pytest.mark.parametrize("q", [7, 13, 25])
+def test_singer_element_n2_matches_full_scan(q):
+    ctx = gl_context_q(2, q)
+    assert singer_element(ctx) == first_primitive_companion(ctx)
+
+
+def test_singer_element_n2_large_q():
+    ctx = gl_context_q(2, 65521)
+    s = singer_element(ctx)
+    full = 65521**2 - 1  # 65520 * 65522 = 2^5 3^2 5 7 13 181^2
+    ident = Mat.identity_of(ctx.field, 2)
+    assert s**full == ident
+    assert all(s ** (full // r) != ident for r in (2, 3, 5, 7, 13, 181))
+
+
 # -- packed row codes against the Mat closure ----------------------------------
 
 

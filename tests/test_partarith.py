@@ -12,6 +12,7 @@ from tworank.partarith import (
     heart,
     heart_coprime,
     is_prime,
+    largest_proper_divisor,
     part_coprime,
     part_pow,
     prime_power_decompose,
@@ -150,3 +151,14 @@ def test_prime_power_decompose():
     assert prime_power_decompose(31) == (31, 1)
     with pytest.raises(ValueError):
         prime_power_decompose(12)
+
+
+def test_largest_proper_divisor_matches_oracle():
+    for n in range(2, 3_000):
+        assert largest_proper_divisor(n) == max(d for d in range(1, n) if n % d == 0), n
+    assert largest_proper_divisor(1) == 1
+    assert largest_proper_divisor(gl_order(2, 7)) == 1008
+    assert largest_proper_divisor(1_000_003) == 1  # prime
+    assert largest_proper_divisor(1_000_003 * 1_000_033) == 1_000_033
+    with pytest.raises(ValueError):
+        largest_proper_divisor(0)

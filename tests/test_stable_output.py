@@ -27,6 +27,10 @@ DIGESTS = [
      "16798f3e65db08c1fb21693cd17461d8f10c5045e5287e3a459de3b384e8a4fa"),
     ("verify lemma-a --n 2 --q 13 --mode random --seed 1 --trials 40",
      "b40be4214b30470aec9a16458e899eee54daf9ead081ab828a3324d818c9e97b"),
+    ("verify lemma-a --n 2 --q 7 --mode random --seed 3 --trials 100 --cap 1500",
+     "8cf6e7dc3ae0e7e7f559f1da9f23ca8bd0f79e12d816e608e498c679dda03bd0"),
+    ("verify lemma-a --n 2 --q 13 --mode random --seed 1 --trials 40 --cap 20000",
+     "859986c33ac2246a176f7c64488277ad94882363ba5277cc25e8889da503094a"),
     ("verify lemma-a --n 3 --q 7 --mode random --seed 2 --trials 20",
      "b712cf95359e75c61f9a32d75702b598026bf9fe9bf0d8cdd19f41a0a76e1f08"),
     ("verify tower --seed 1 --trials 30", "9e9742d42921f29e0b01bbc70676c5aa8e0cdc8346b185462fe4855582a87113"),
