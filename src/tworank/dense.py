@@ -9,7 +9,8 @@ products, a breadth-first search under those rows records for every
 element j a parent p and generator s with elems[j] = elems[p] * s, and any
 other row is composed from its parent's row and the generator's row with
 integer lookups.  A conjugation row crow(j) composes lrow(j) with the
-right row of j's inverse.  Closures and conjugacy classes are
+right row of j's inverse, read off lrow(j) as the index it sends to the
+identity.  Closures and conjugacy classes are
 orbit.orbit over these rows, so their inner loop is a list subscript; a
 closure stops once it passes the largest order a proper subgroup can have
 (Lagrange), since it is then the whole group.
@@ -41,7 +42,6 @@ class DenseGroup:
             self._lrows[j] = [index[g * x] for x in self.elems]
         self._parent, self._via = self._schreier_tree()
         self._crows = {}
-        self._inv = None
         self._orders = None
         self._proper_max = largest_proper_divisor(self.n)
 
@@ -73,11 +73,6 @@ class DenseGroup:
         return parent, via
 
     # -- lazy tables --------------------------------------------------------
-
-    def inv_table(self):
-        if self._inv is None:
-            self._inv = [self.index[g.inv()] for g in self.elems]
-        return self._inv
 
     def _tree_row(self, j, rows, right):
         """Row j composed down the Schreier tree from its nearest cached
@@ -149,11 +144,12 @@ class DenseGroup:
     # -- conjugacy ------------------------------------------------------------
 
     def crow(self, j):
-        """Conjugation row: crow(j)[i] = index of elems[j] * elems[i] * elems[j]^-1."""
+        """Conjugation row: crow(j)[i] = index of elems[j] * elems[i] * elems[j]^-1.
+        The inverse of j is where lrow(j) takes the identity."""
         row = self._crows.get(j)
         if row is None:
             lr = self.lrow(j)
-            row = self._crows[j] = [lr[x] for x in self.rrow(self.inv_table()[j])]
+            row = self._crows[j] = [lr[x] for x in self.rrow(lr.index(self.id_idx))]
         return row
 
     def class_orbit(self, i, gen_idxs=None):

@@ -6,8 +6,12 @@ insertion order driven by the sorted generator list) and never changes
 afterwards.  Everything downstream -- centralizers, conjugacy classes,
 Sylow subgroups, normal-subgroup lattices, derived subgroups, quotients --
 is exhaustive and exact; caps abort with ResourceLimitError rather than
-subsample.  Normal subgroups and derived subgroups are closed on the
-integer-indexed DenseGroup view (dense.py), not on element objects.
+subsample.  Derived subgroups are closed on the integer-indexed DenseGroup
+view (dense.py), not on element objects.  Normal subgroups are int
+bitmasks over its conjugacy classes: each atom (the normal closure of one
+class) gets a step table (the classes met by C_c * g for one generator g)
+and from it the classes of each coset block C_c * B, and a join is a union
+of blocks, so no join closes elements.
 """
 
 from itertools import combinations
@@ -192,43 +196,79 @@ class FiniteGroup:
     # -- normal structure -------------------------------------------------------
 
     def normal_subgroups(self, enum_cap=DEFAULT_NORMAL_ENUM_CAP):
-        """All normal subgroups: joins of normal closures of conjugacy
-        classes.  Capped by group order; exact within the cap."""
+        """All normal subgroups, sorted by (order, sorted element keys).
+        Capped by group order; exact within the cap.
+
+        A normal subgroup is a union of conjugacy classes, so each one is
+        an int bitmask over the classes of D.classes() (Hulpke, "Computing
+        normal subgroups", ISSAC 1998).  The atoms are the normal closures
+        of single classes (D.span of the class); every normal subgroup is
+        a join of atoms.  Each atom B gets a block table from the step
+        table of one of its generators (_coset_blocks), and the join AB of
+        a found A is the union of the blocks of A's classes: no join
+        closes elements.  The generator tuples (agens + bgens) are checked
+        once per subgroup found."""
         if self.order > enum_cap:
             raise ResourceLimitError(
                 f"normal-subgroup enumeration capped at order {enum_cap}",
                 partial=self.order,
             )
         D = DenseGroup(self)
-        atoms = []
-        for cls in D.classes():
-            if len(cls) == 1 and cls[0] == D.id_idx:
+        classes = D.classes()
+        class_of = [0] * D.n
+        for c, cls in enumerate(classes):
+            for i in cls:
+                class_of[i] = c
+        id_class = class_of[D.id_idx]
+        atom_gens = {}
+        for c, cls in enumerate(classes):
+            if c == id_class:
                 continue
             elems, gens = D.span(cls)
-            atoms.append((frozenset(elems), tuple(gens)))
-        found = {frozenset([D.id_idx]): ()}
+            mask = 0
+            for i in elems:
+                mask |= 1 << class_of[i]
+            atom_gens.setdefault(mask, tuple(gens))
+        # gens[0] lies in the class, so the atom is its normal closure
+        atoms = [
+            (mask, gens, _coset_blocks(D.rrow(gens[0]), class_of, len(classes)))
+            for mask, gens in atom_gens.items()
+        ]
+        found = {1 << id_class: ()}
         frontier = []
-        for atom, gens in atoms:
-            if atom not in found:
-                found[atom] = gens
-                frontier.append((atom, gens))
+        for mask, gens, _ in atoms:
+            if mask not in found:
+                found[mask] = gens
+                frontier.append((mask, gens))
         while frontier:
             fresh = []
             for a, agens in frontier:
-                for b, bgens in atoms:
-                    if a >= b or a <= b:
+                for b, bgens, blocks in atoms:
+                    if (a & b) in (a, b):
                         continue
-                    # A is normal, so AB is a subgroup: close A under B's gens
-                    jgens = tuple(agens) + tuple(bgens)
-                    join = frozenset(D.close(a, bgens))
+                    # AB is the union of the blocks of A's classes; a class
+                    # inside a block already taken adds nothing
+                    join = 0
+                    todo = a
+                    while todo:
+                        join |= blocks[(todo & -todo).bit_length() - 1]
+                        todo &= ~join
                     if join not in found:
+                        jgens = agens + bgens
                         found[join] = jgens
                         fresh.append((join, jgens))
             frontier = fresh
-        groups = [D.subgroup_from_indices(sorted(idxs), gens) for idxs, gens in found.items()]
-        return sorted(
-            groups, key=lambda n: (n.order, sorted(g.key() for g in n.elements))
-        )
+        rank = [0] * D.n
+        for r, i in enumerate(sorted(range(D.n), key=lambda i: D.elems[i].key())):
+            rank[i] = r
+        keyed = []
+        for mask, gens in found.items():
+            idxs = [i for i, c in enumerate(class_of) if mask >> c & 1]
+            if len(D.close([], gens)) != len(idxs):
+                raise RuntimeError("join generators do not generate the normal subgroup")
+            keyed.append(((len(idxs), sorted(rank[i] for i in idxs)), idxs, gens))
+        keyed.sort(key=lambda t: t[0])
+        return [D.subgroup_from_indices(idxs, gens) for _, idxs, gens in keyed]
 
     def odd_core(self, enum_cap=DEFAULT_NORMAL_ENUM_CAP):
         """O(H): the largest normal subgroup of odd order."""
@@ -330,6 +370,37 @@ class FiniteGroup:
                 return rank
             rank += 1
             level = nxt
+
+
+def _coset_blocks(row, class_of, k):
+    """blocks[c]: the mask of the classes of C_c * B, where row is the
+    right-multiplication row of g and B is the normal closure of g.
+
+    step[c] is the mask of the classes met by C_c * g.  The closure of
+    class c under step is a union of classes closed under right
+    multiplication by g, hence by every conjugate of g, hence by B; and it
+    is the least such union, which is C_c * B since B is normal.  Every
+    class of a block has that block, so each block is closed once."""
+    step = [0] * k
+    for i, c in enumerate(class_of):
+        step[c] |= 1 << class_of[row[i]]
+    blocks = [0] * k
+    for c in range(k):
+        if blocks[c]:
+            continue
+        block = todo = 1 << c
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = step[low.bit_length() - 1] & ~block
+            block |= new
+            todo |= new
+        todo = block
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            blocks[low.bit_length() - 1] = block
+    return blocks
 
 
 class Homomorphism:

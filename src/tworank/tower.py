@@ -281,8 +281,8 @@ class _InstanceSampler:
                 if not pool:
                     pool = [N for N in normals if N.order == 1]
             else:
-                pool = [N for N in normals
-                        if N.order % 2 == 0 and N.order <= 1200 and N.involutions()]
+                # an even-order N always holds an involution (Cauchy)
+                pool = [N for N in normals if N.order % 2 == 0 and N.order <= 1200]
             if not pool:
                 continue
             N = self.rng.choice(pool)

@@ -1,8 +1,9 @@
 """Cross-checks between independent computation routes.
 
 Each test here pits one implementation path against a structurally
-different one: the class-union normal-subgroup lattice against a brute
-subgroup enumeration filtered by normality, the commuting-involution
+different one: the class-mask normal-subgroup lattice against a brute
+subgroup enumeration filtered by normality and against the element-level
+join enumeration it replaced, the commuting-involution
 2-rank search against a subgroup-lattice scan, quotient projections
 against elementwise multiplication, and the wreath involution formula
 against direct enumeration in a second regime.
@@ -14,8 +15,10 @@ import pytest
 
 from tworank import constructions as lib
 from tworank.dense import DenseGroup
+from tworank.groups import FiniteGroup, closure
 from tworank.lemma_a import all_subgroups_oracle, lemma_a_campaign
 from tworank.matgroup import sylow2_gl, wreath_involution_count
+from tworank.tower import random_identity_campaign
 
 
 AMBIENTS = [
@@ -24,6 +27,9 @@ AMBIENTS = [
     lambda: lib.dihedral(16),
     lambda: lib.direct_product(lib.cyclic(3), lib.symmetric(3)),
     lambda: lib.generalized_quaternion(16),
+    lambda: lib.direct_product(lib.cyclic(3), lib.cyclic(3), lib.elementary_abelian_two(2)),
+    lambda: lib.direct_product(lib.dihedral(8), lib.elementary_abelian_two(2)),
+    lambda: lib.direct_product(lib.wreath_c2_c2(), lib.cyclic(3)),
 ]
 
 
@@ -40,6 +46,75 @@ def test_normal_subgroups_match_brute_enumeration(build):
             brute_normal.add(frozenset(elems))
     engine = {n.element_set for n in G.normal_subgroups()}
     assert engine == brute_normal
+
+
+def element_join_normal_subgroups(G):
+    """The element-level enumeration that FiniteGroup.normal_subgroups
+    replaced: each join of a found normal subgroup A with an atom B is
+    closed over elements with DenseGroup.close, into a fresh frozenset."""
+    D = DenseGroup(G)
+    atoms = []
+    for cls in D.classes():
+        if len(cls) == 1 and cls[0] == D.id_idx:
+            continue
+        elems, gens = D.span(cls)
+        atoms.append((frozenset(elems), tuple(gens)))
+    found = {frozenset([D.id_idx]): ()}
+    frontier = []
+    for atom, gens in atoms:
+        if atom not in found:
+            found[atom] = gens
+            frontier.append((atom, gens))
+    while frontier:
+        fresh = []
+        for a, agens in frontier:
+            for b, bgens in atoms:
+                if a >= b or a <= b:
+                    continue
+                join = frozenset(D.close(a, bgens))
+                if join not in found:
+                    found[join] = agens + bgens
+                    fresh.append((join, agens + bgens))
+        frontier = fresh
+    groups = [D.subgroup_from_indices(sorted(idxs), gens) for idxs, gens in found.items()]
+    return sorted(groups, key=lambda n: (n.order, sorted(g.key() for g in n.elements)))
+
+
+def assert_matches_element_joins(G):
+    engine = [(N.elements, N.gens) for N in G.normal_subgroups()]
+    oracle = [(N.elements, N.gens) for N in element_join_normal_subgroups(G)]
+    assert engine == oracle
+
+
+@pytest.mark.parametrize("build", AMBIENTS)
+def test_normal_subgroups_sorted_and_generated(build):
+    G = build()
+    normals = G.normal_subgroups()
+    assert normals == sorted(
+        normals, key=lambda N: (N.order, sorted(g.key() for g in N.elements))
+    )
+    for N in normals:
+        assert closure(N.gens).element_set == N.element_set
+
+
+def test_normal_subgroups_match_element_joins_on_cyclic():
+    assert_matches_element_joins(lib.cyclic(60))
+
+
+def test_normal_subgroups_match_element_joins_on_tower_campaign(monkeypatch):
+    seen = []
+    engine = FiniteGroup.normal_subgroups
+
+    def record(self, *args, **kwargs):
+        seen.append(self)
+        return engine(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "normal_subgroups", record)
+    random_identity_campaign(1, 30)
+    monkeypatch.undo()
+    assert seen
+    for G in seen:
+        assert_matches_element_joins(G)
 
 
 @pytest.mark.parametrize(
