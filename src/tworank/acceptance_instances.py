@@ -9,6 +9,7 @@ Baer involution.
 """
 
 from itertools import combinations
+from math import isqrt
 
 from . import constructions as lib
 from .elements import Perm
@@ -195,7 +196,7 @@ def counting_battery(q=9):
     reports = [counting_identity_check(G, fr)]
     check = Check("baer-fixed-structure", {"q": q})
     fs = fixed_structure(fr)
-    u = int(round(q**0.5))
+    u = isqrt(q)
     ok = (
         fs.num_points == u * u + u + 1
         and fs.subplane_order == u

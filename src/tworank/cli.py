@@ -83,7 +83,7 @@ def build_parser():
 
     p = vsub.add_parser("tower")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=positive_int, default=200)
     _add_common(p)
 
     p = vsub.add_parser("counting")

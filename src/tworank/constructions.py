@@ -4,13 +4,12 @@ These are the building blocks the identity campaigns and bound harnesses
 sample from: cyclic, dihedral, generalized quaternion, symmetric and
 alternating groups, small linear groups, direct products and diagonal
 subgroups.  Permutation groups act on {0..n-1}; quaternion groups are
-realized inside GL_2(q) for a suitable q; a small wreath product exercises
-the wreath element variant.
+realized inside GL_2(q) for a suitable q.
 """
 
 from itertools import product as iter_product
 
-from .elements import DirectTuple, Mat, Perm, WreathElem
+from .elements import DirectTuple, Mat, Perm
 from .gf import field_make
 from .groups import FiniteGroup, closure
 from .partarith import is_prime, part_pow
@@ -119,12 +118,10 @@ def generalized_quaternion(order):
 
 
 def wreath_c2_c2():
-    """C_2 wreath C_2 (dihedral of order 8) on wreath-pair elements."""
-    c2 = Perm.from_cycles(2, (0, 1))
-    e2 = Perm.identity_of(2)
-    base_gen = WreathElem((c2, e2), Perm.identity_of(2))
-    top_gen = WreathElem((e2, e2), Perm.from_cycles(2, (0, 1)))
-    return closure([base_gen, top_gen])
+    """C_2 wreath C_2 (dihedral of order 8) in its imprimitive action on
+    4 points: a base transposition inside the block {0, 1} and the top
+    swap of the blocks {0, 1} and {2, 3}."""
+    return closure([Perm.from_cycles(4, (0, 1)), Perm.from_cycles(4, (0, 2), (1, 3))])
 
 
 def direct_product(*groups):

@@ -1,4 +1,4 @@
-"""Group element variants: permutations, matrices, tuples and wreath pairs.
+"""Group element variants: permutations, matrices and tuples.
 
 All elements are immutable values with structural equality and hashing, so
 closure sets can be shared read-only.  Every variant implements ``*``,
@@ -31,9 +31,6 @@ class GroupElement:
             base = base * base
             e >>= 1
         return result
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class Perm(GroupElement):
@@ -152,13 +149,6 @@ class Mat(GroupElement):
         for i in range(n):
             vals[i * n + i] = 1
         return cls(field, n, vals, _checked=True)
-
-    @classmethod
-    def scalar(cls, field, n, code):
-        vals = [0] * (n * n)
-        for i in range(n):
-            vals[i * n + i] = code
-        return cls(field, n, vals)
 
     def rows(self):
         n = self.n
@@ -299,10 +289,9 @@ class DirectTuple(GroupElement):
     def is_identity(self):
         return all(a.is_identity() for a in self.parts)
 
-    def project(self, start, stop=None):
-        """The components [start:stop], always as a DirectTuple."""
-        parts = self.parts[start:stop]
-        return DirectTuple(parts)
+    def project(self, start):
+        """The components from index start on, as a DirectTuple."""
+        return DirectTuple(self.parts[start:])
 
     def key(self):
         return ("tuple", tuple(a.key() for a in self.parts))
@@ -315,62 +304,3 @@ class DirectTuple(GroupElement):
 
     def __repr__(self):
         return "(" + ", ".join(repr(a) for a in self.parts) + ")"
-
-
-class WreathElem(GroupElement):
-    """A wreath product element (base; top): a tuple of k base components
-    and a top permutation of the k coordinates.
-
-    Product: (m; h)(m'; h') = (m * h(m'); h h') where h acts on base tuples
-    by (h(m))_i = m_{h^{-1}(i)}.
-    """
-
-    __slots__ = ("base", "top", "_hash")
-
-    def __init__(self, base, top):
-        self.base = base = tuple(base)
-        if not isinstance(top, Perm) or top.degree != len(base):
-            raise ValueError("top permutation degree must match base length")
-        self.top = top
-        self._hash = hash(("wreath", base, top.img))
-
-    def __mul__(self, other):
-        if not isinstance(other, WreathElem) or len(other.base) != len(self.base):
-            raise ValueError("cannot multiply wreath elements of different shapes")
-        h = self.top
-        hinv_img = h.inv().img
-        moved = tuple(other.base[hinv_img[i]] for i in range(len(self.base)))
-        return WreathElem(
-            tuple(a * b for a, b in zip(self.base, moved)), h * other.top
-        )
-
-    def inv(self):
-        hinv = self.top.inv()
-        inv_parts = tuple(a.inv() for a in self.base)
-        # (m; h)^{-1} = (h^{-1}(m^{-1}); h^{-1})
-        moved = tuple(inv_parts[self.top.img[i]] for i in range(len(self.base)))
-        return WreathElem(moved, hinv)
-
-    def identity(self):
-        return WreathElem(
-            tuple(a.identity() for a in self.base), self.top.identity()
-        )
-
-    def is_identity(self):
-        return self.top.is_identity() and all(a.is_identity() for a in self.base)
-
-    def key(self):
-        return ("wreath", tuple(a.key() for a in self.base), self.top.img)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WreathElem)
-            and other.base == self.base
-            and other.top == self.top
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"[{', '.join(repr(a) for a in self.base)}; {self.top!r}]"

@@ -53,7 +53,6 @@ from .partarith import geom_sum, heart_coprime, largest_proper_divisor
 from .report import Check, VerificationReport
 
 LATTICE_AMBIENT_CAP = 2500
-ORACLE_AMBIENT_CAP = 500
 
 SATISFIED = "satisfied"
 VIOLATED_TAG = "VIOLATED"
@@ -182,53 +181,6 @@ class SubgroupLattice:
                 for y in orbit([c], coset_rows):
                     seen[y] = True
         return reps
-
-    def total_subgroups(self):
-        return len(self.by_set)
-
-
-def all_subgroups_oracle(D: DenseGroup):
-    """Every subgroup as an element-index frozenset, with no conjugacy
-    shortcut.  Exponential-ish; for self-tests on ambients of order <= 500.
-    Closures are plain orbits without DenseGroup.close's Lagrange stop, so
-    the lattice's use of that stop is checked against them."""
-    if D.n > ORACLE_AMBIENT_CAP:
-        raise ResourceLimitError(f"oracle capped at ambient order {ORACLE_AMBIENT_CAP}")
-    found = {frozenset([D.id_idx]): ()}
-    queue = deque()
-    for i in range(D.n):
-        if i == D.id_idx:
-            continue
-        row = D.rrow(i)
-        cyc = [D.id_idx]
-        x = row[D.id_idx]
-        while x != D.id_idx:
-            cyc.append(x)
-            x = row[x]
-        fs = frozenset(cyc)
-        if fs not in found:
-            found[fs] = (i,)
-            queue.append((fs, (i,)))
-    while queue:
-        elems, gens = queue.popleft()
-        if len(elems) == D.n:
-            continue
-        helems = sorted(elems)
-        hrows = [D.rrow(h) for h in helems]
-        covered = set()
-        for e in range(D.n):
-            if e in covered:
-                continue
-            for row in hrows:
-                covered.add(row[e])
-            if e in elems:
-                continue
-            K = frozenset(orbit(helems, [D.rrow(j) for j in (*gens, e)]))
-            if K not in found:
-                kg = tuple(gens) + (e,)
-                found[K] = kg
-                queue.append((K, kg))
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,6 @@ class GLContext:
     def order_two_part(self):
         return gl_order_two_part(self.n, self.q)
 
-    @property
-    def q_mod_4(self):
-        return self.q % 4
-
     def hypothesis_ok(self):
         return hypothesis_ok(self.p)
 
@@ -307,14 +303,6 @@ def _census(group):
             if g.is_scalar():
                 central += 1
     return total, central
-
-
-def involution_census(P: FiniteGroup, context: GLContext):
-    """(total involutions, involutions scalar in GL_n(q)) of a matrix group."""
-    probe = P.identity
-    if not isinstance(probe, Mat) or probe.n != context.n or probe.field is not context.field:
-        raise ValueError("group shape does not match the GL context")
-    return _census(P)
 
 
 def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:

@@ -8,7 +8,6 @@ arbitrary-precision ints; group orders such as |GL_6(49)| overflow 64 bits
 and silent wraparound is the failure mode this module exists to rule out.
 """
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import ResourceLimitError
@@ -98,45 +97,6 @@ def largest_proper_divisor(n: int) -> int:
     if n == 1 or is_prime(n):
         return 1
     raise ResourceLimitError(f"least prime factor of {n} exceeds trial-division bound")
-
-
-@dataclass(frozen=True)
-class PartedInteger:
-    """A nonnegative integer together with its prime factorization."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, n: int) -> "PartedInteger":
-        if n < 0:
-            raise ValueError(f"expected a nonnegative integer, got {n}")
-        if n == 0:
-            return cls(0, ())
-        return cls(n, tuple(sorted(factorize(n).items())))
-
-    def __post_init__(self):
-        if self.value >= 1:
-            prod = 1
-            for p, e in self.factors:
-                if e < 1:
-                    raise ValueError(f"exponent of {p} must be >= 1")
-                if not is_prime(p):
-                    raise ValueError(f"{p} is not prime")
-                prod *= p**e
-            if prod != self.value:
-                raise ValueError(f"factors of {self.value} multiply to {prod}")
-
-    def part(self, w: int) -> int:
-        """The w-part of the value (w prime)."""
-        for p, e in self.factors:
-            if p == w:
-                return w**e
-        return 1
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
 
 def part_pow(k: int, w: int) -> int:

@@ -17,7 +17,6 @@ from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import field_make
 from .groups import FiniteGroup, closure, is_transitive
-from .matgroup import GLContext, singer_element
 from .orbit import conjugation, orbit
 from .partarith import prime_power_decompose
 from .report import VERIFIED, Check, VerificationReport
@@ -287,17 +286,6 @@ class PlaneGroup(FiniteGroup):
     def point_stabilizer(self, alpha=0):
         elems = [g for g in self.elements if g.img[alpha] == alpha]
         return FiniteGroup._from_elements(elems, [], cap=self.cap, name="stabilizer")
-
-
-def singer_collineation(plane: IncidencePlane) -> Collineation:
-    """A collineation of order q^2+q+1 acting regularly on points: induced
-    by the Singer element of GL_3(q), the companion matrix of the first
-    primitive cubic over GF(q)."""
-    coll = Collineation.from_matrix(plane, singer_element(GLContext(3, plane.field)))
-    q = plane.order
-    if coll.order() != q * q + q + 1:
-        raise RuntimeError("Singer point order is off")
-    return coll
 
 
 def gl3_collineation_generators(plane: IncidencePlane):

@@ -80,11 +80,6 @@ def build_tower(H: FiniteGroup, r: int) -> TowerDecomposition:
     return TowerDecomposition(H, r, levels, projections, kernels, k)
 
 
-def _centralizer_order_in(S: FiniteGroup, g) -> int:
-    """|C_S(g)| where g need not lie in S (but commutes entrywise test)."""
-    return sum(1 for h in S.elements if h * g == g * h)
-
-
 def _index_exact(total: int, part: int, what: str) -> int:
     if total % part:
         raise RuntimeError(f"{what}: {part} does not divide {total}")
@@ -98,8 +93,8 @@ def verify_oddnormal(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport:
         return check.not_applicable(reason_involution=0)
     if N.order % 2 == 0 or not N.is_normal_in(H):
         return check.not_applicable(reason_odd_normal=0)
-    lhs = _index_exact(H.order, H.centralizer(g).order, "|H:C_H(g)|")
-    idx_n = _index_exact(N.order, _centralizer_order_in(N, g), "|N:C_N(g)|")
+    lhs = _index_exact(H.order, H.centralizer_order(g), "|H:C_H(g)|")
+    idx_n = _index_exact(N.order, N.centralizer_order(g), "|N:C_N(g)|")
     if N.order == 1:
         # the quotient map is an isomorphism; skip the regular action
         idx_q = lhs
@@ -109,7 +104,7 @@ def verify_oddnormal(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport:
         if gbar.is_identity():
             idx_q = 1
         else:
-            idx_q = _index_exact(quo.order, quo.centralizer(gbar).order, "|H/N:C(gN)|")
+            idx_q = _index_exact(quo.order, quo.centralizer_order(gbar), "|H/N:C(gN)|")
     counts = {"lhs": lhs, "idx_N": idx_n, "idx_quotient": idx_q}
     return check.result(lhs == idx_n * idx_q, counts, {"g": repr(g), "counts": counts})
 
@@ -128,8 +123,8 @@ def verify_sylow_fusion(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport
     class_n = N.conj_class(g)
     in_p_h = sum(1 for x in class_h if x in pset)
     in_p_n = sum(1 for x in class_n if x in pset)
-    lhs = _index_exact(H.order, H.centralizer(g).order, "|H:C_H(g)|")
-    idx_n = _index_exact(N.order, _centralizer_order_in(N, g), "|N:C_N(g)|")
+    lhs = _index_exact(H.order, H.centralizer_order(g), "|H:C_H(g)|")
+    idx_n = _index_exact(N.order, N.centralizer_order(g), "|N:C_N(g)|")
     counts = {
         "lhs": lhs,
         "idx_N": idx_n,
@@ -157,7 +152,7 @@ def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
     for i in range(1, k + 1):
         T_i = tower.kernels[i - 1]
         g_i = tower.g_image(g, i)
-        idx = _index_exact(T_i.order, _centralizer_order_in(T_i, g_i), f"|T_{i}:C(g_{i})|")
+        idx = _index_exact(T_i.order, T_i.centralizer_order(g_i), f"|T_{i}:C(g_{i})|")
         factor_list.append(idx)
         prod *= idx
     L_k = tower.levels[k - 1]
@@ -165,7 +160,7 @@ def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
     pset = P.element_set
     in_p_l = sum(1 for x in L_k.conj_class(g_k) if x in pset)
     in_p_t = sum(1 for x in T_k.conj_class(g_k) if x in pset)
-    lhs = _index_exact(tower.H.order, tower.H.centralizer(g).order, "|H:C_H(g)|")
+    lhs = _index_exact(tower.H.order, tower.H.centralizer_order(g), "|H:C_H(g)|")
     counts = {
         "lhs": lhs,
         "kernel_indices": "*".join(map(str, factor_list)),

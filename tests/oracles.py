@@ -1,0 +1,98 @@
+"""Slow reference implementations the tests compare the engine against.
+
+No verifier calls these.  Each one is the simplest exhaustive route to an
+answer the engine reaches another way, or a fixture the engine does not
+need: the 2-rank by growing elementary abelian subgroups, every subgroup
+of a small ambient with no conjugacy shortcut, and the Singer collineation
+of PG(2, q).
+"""
+
+from collections import deque
+
+from tworank.errors import ResourceLimitError
+from tworank.matgroup import GLContext, singer_element
+from tworank.orbit import orbit
+from tworank.plane import Collineation
+
+ORACLE_AMBIENT_CAP = 500
+
+
+def two_rank(H):
+    """The largest r with an elementary abelian subgroup of order 2^r in
+    the FiniteGroup H.  Checked against a subgroup-lattice scan and used
+    to test that 2-rank 1 means a cyclic or generalized quaternion Sylow
+    2-subgroup."""
+    P = H.sylow_two()
+    invs = P.involutions()
+    if not invs:
+        return 0
+    level = {frozenset([H.identity, v]) for v in invs}
+    rank = 1
+    while True:
+        nxt = set()
+        for E in level:
+            for h in invs:
+                if h in E:
+                    continue
+                if all(h * x == x * h for x in E):
+                    nxt.add(E | frozenset(x * h for x in E))
+        if not nxt:
+            return rank
+        rank += 1
+        level = nxt
+
+
+def all_subgroups_oracle(D):
+    """Every subgroup of the DenseGroup D as an element-index frozenset,
+    with no conjugacy shortcut.  Exponential-ish; for ambients of order
+    <= ORACLE_AMBIENT_CAP.  Closures are plain orbits without
+    DenseGroup.close's Lagrange stop, so the lattice's use of that stop is
+    checked against them."""
+    if D.n > ORACLE_AMBIENT_CAP:
+        raise ResourceLimitError(f"oracle capped at ambient order {ORACLE_AMBIENT_CAP}")
+    found = {frozenset([D.id_idx]): ()}
+    queue = deque()
+    for i in range(D.n):
+        if i == D.id_idx:
+            continue
+        row = D.rrow(i)
+        cyc = [D.id_idx]
+        x = row[D.id_idx]
+        while x != D.id_idx:
+            cyc.append(x)
+            x = row[x]
+        fs = frozenset(cyc)
+        if fs not in found:
+            found[fs] = (i,)
+            queue.append((fs, (i,)))
+    while queue:
+        elems, gens = queue.popleft()
+        if len(elems) == D.n:
+            continue
+        helems = sorted(elems)
+        hrows = [D.rrow(h) for h in helems]
+        covered = set()
+        for e in range(D.n):
+            if e in covered:
+                continue
+            for row in hrows:
+                covered.add(row[e])
+            if e in elems:
+                continue
+            K = frozenset(orbit(helems, [D.rrow(j) for j in (*gens, e)]))
+            if K not in found:
+                kg = tuple(gens) + (e,)
+                found[K] = kg
+                queue.append((K, kg))
+    return found
+
+
+def singer_collineation(plane):
+    """A collineation of order q^2+q+1 acting regularly on points: induced
+    by the Singer element of GL_3(q), the companion matrix of the first
+    primitive cubic over GF(q)."""
+    coll = Collineation.from_matrix(plane, singer_element(GLContext(3, plane.field)))
+    q = plane.order
+    if coll.order() != q * q + q + 1:
+        raise RuntimeError("Singer point order is off")
+    return coll

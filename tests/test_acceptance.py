@@ -20,6 +20,8 @@ from tworank.matgroup import (
 )
 from tworank.partarith import geom_sum, gl_order_two_part
 
+from oracles import two_rank
+
 
 class Criterion:
     def __init__(self, number, budget_s):
@@ -189,7 +191,7 @@ def test_criterion_12_two_rank_characterization():
     ]
     for H in family:
         P = H.sylow_two()
-        rank_one = H.two_rank() == 1
+        rank_one = two_rank(H) == 1
         cyclic_or_quaternion = P.is_cyclic() or (
             P.order >= 8 and is_generalized_quaternion(P)
         )

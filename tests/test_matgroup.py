@@ -6,6 +6,7 @@ from tworank.elements import Mat
 from tworank.errors import ResourceLimitError
 from tworank.gf import field_make
 from tworank.matgroup import (
+    _census,
     CENSUS_CSV_HEADER,
     RowCodec,
     borel_subgroup,
@@ -13,7 +14,6 @@ from tworank.matgroup import (
     code_closure,
     gl_context,
     gl_context_q,
-    involution_census,
     monomial_subgroup,
     random_invertible,
     singer_element,
@@ -33,7 +33,7 @@ def test_gl_context_orders():
     assert gl_context(1, 7).order == 6
     assert gl_context(3, 7).order == 33784128
     ctx = gl_context(2, 7)
-    assert ctx.hypothesis_ok() and ctx.q_mod_4 == 3
+    assert ctx.hypothesis_ok()
     assert not gl_context(2, 3, 2).hypothesis_ok()  # p = 3
     assert not gl_context(2, 5).hypothesis_ok()  # 5 = 2 mod 3
 
@@ -123,13 +123,11 @@ def test_sylow2_gl2_q13_diagonal_wreath():
 
 def test_involution_census_endpoint():
     desc = sylow2_gl2(7)
-    total, central = involution_census(desc.group, desc.context)
-    assert (total, central) == (9, 1)
+    assert (desc.census_total, desc.census_central) == (9, 1)
     F = field_make(7)
-    pm = closure([Mat.scalar(F, 2, F.neg_code(1))])
-    assert involution_census(pm, desc.context) == (1, 1)
-    with pytest.raises(ValueError):
-        involution_census(pm, gl_context(3, 7))
+    minus_one = F.neg_code(1)
+    pm = closure([Mat.from_rows(F, [[minus_one, 0], [0, minus_one]])])
+    assert _census(pm) == (1, 1)
 
 
 def test_verify_statement1():

@@ -1,0 +1,62 @@
+"""Every module-level function and class in src/tworank is used by the
+program itself: referenced, outside its own definition, from src/tworank,
+from the benchmark under perfbench/, or from pyproject.toml's script
+entry.  Code that only tests reach belongs in tests/ (see oracles.py)."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tworank"
+
+# Waits for its verifier subcommand (ROADMAP item 5); nothing calls it yet.
+ALLOWED_UNREFERENCED = {"acceptance_instances.counting_battery"}
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _names_in(node):
+    """Identifiers a statement refers to: names, attributes, imported
+    names, and dotted-path strings such as perfbench's trace targets."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if _DOTTED.fullmatch(sub.value):
+                out.update(sub.value.split("."))
+    return out
+
+
+def _script_entries():
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r":(\w+)", section))
+
+
+def test_no_module_level_name_is_test_only():
+    statements = []  # (file, top-level statement)
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        statements.extend((path, stmt) for stmt in ast.parse(path.read_text()).body)
+    referenced_by = [(path, stmt, _names_in(stmt)) for path, stmt in statements]
+    entries = _script_entries()
+    unreferenced = []
+    for path, stmt in statements:
+        if path.parent != SRC or not isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        name = stmt.name
+        if name in entries:
+            continue
+        if any(other is not stmt and name in names for _, other, names in referenced_by):
+            continue
+        unreferenced.append(f"{path.stem}.{name}")
+    assert sorted(set(unreferenced) - ALLOWED_UNREFERENCED) == []
+    # the allow-list holds only names that really are unreferenced
+    assert ALLOWED_UNREFERENCED <= set(unreferenced)

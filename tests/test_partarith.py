@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tworank.partarith import (
-    PartedInteger,
     factorize,
     geom_sum,
     gl_order,
@@ -120,17 +119,6 @@ def test_gl_two_part_matches_full_factorization(n, q):
         v2 += trial_division_factors(q**i - 1).get(2, 0)
     assert two_part == 2**v2
     assert (order // two_part) % 2 == 1
-
-
-def test_parted_integer_invariants():
-    pi = PartedInteger.of(960)
-    assert pi.value == 960
-    assert dict(pi.factors) == {2: 6, 3: 1, 5: 1}
-    assert pi.part(2) == 64 and pi.part(11) == 1
-    with pytest.raises(ValueError):
-        PartedInteger(12, ((2, 1), (3, 1)))  # 6 != 12
-    with pytest.raises(ValueError):
-        PartedInteger(12, ((4, 1), (3, 1)))  # 4 not prime
 
 
 @given(st.integers(2, 200_000))

@@ -15,8 +15,9 @@ from tworank.plane import (
     gl3_collineation_generators,
     odd_transitive_search,
     pg2,
-    singer_collineation,
 )
+
+from oracles import singer_collineation
 
 
 def test_pg2_9_sizes():

@@ -171,6 +171,7 @@ def test_cli_usage_errors():
         "verify lemma-a --n 2 --q 6",
         "verify lemma-a --n 0 --q 7",
         "census sylow2 --n 2 --q 8",  # even q
+        "verify tower --trials 0",
     ):
         assert run(argv.split()) == 3, argv
 
@@ -260,7 +261,8 @@ def test_elapsed_ms_on_skipped_sylow2_report(ticking_clock):
 
 
 def test_elapsed_ms_on_odd_transitive_report(ticking_clock):
-    from tworank.plane import PlaneGroup, odd_transitive_search, pg2, singer_collineation
+    from oracles import singer_collineation
+    from tworank.plane import PlaneGroup, odd_transitive_search, pg2
 
     P = pg2(3)
     _, rep = odd_transitive_search(PlaneGroup(P, [singer_collineation(P)]))

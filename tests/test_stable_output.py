@@ -34,6 +34,7 @@ DIGESTS = [
     ("verify lemma-a --n 3 --q 7 --mode random --seed 2 --trials 20",
      "b712cf95359e75c61f9a32d75702b598026bf9fe9bf0d8cdd19f41a0a76e1f08"),
     ("verify tower --seed 1 --trials 30", "9e9742d42921f29e0b01bbc70676c5aa8e0cdc8346b185462fe4855582a87113"),
+    ("verify tower --seed 1 --trials 100", "2ace15f08d3445701941da27a535ac570ee6859e95fe5ddff5387d676485c4b3"),
     ("verify tower --seed 3 --trials 40", "6d4d152ec99a138e1c36577ee4653ea1edd56d93a1d2fb82711aad7e060f7eec"),
 ]
 
