@@ -99,7 +99,7 @@ def build_parser():
     p.add_argument("--q", type=odd_prime_power, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=positive_int, default=1000)
     p.add_argument("--cap", type=int, default=None,
                    help="largest subgroup order the random stream closes "
                         "(default 30000 for n <= 2, else 4000; the exhaustive "

@@ -304,14 +304,12 @@ class FiniteGroup:
         def project(h):
             return Perm(coset_of[h * reps[i]] for i in range(k))
 
-        gen_images = {g: project(g) for g in self.gens}
         q_order = self.order // N.order
-        quo = FiniteGroup(list(gen_images.values()) or [Perm.identity_of(k)], cap=self.cap, name="quotient")
+        quo = FiniteGroup([project(g) for g in self.gens], cap=self.cap, name="quotient")
         quo.materialize()
         if quo.order != q_order:
             raise RuntimeError(f"coset action has order {quo.order}, expected {q_order}")
-        hom = Homomorphism(self, quo, gen_images, project)
-        return quo, hom
+        return quo, Homomorphism(self, project)
 
 
 def _coset_blocks(row, class_of, k):
@@ -346,15 +344,12 @@ def _coset_blocks(row, class_of, k):
 
 
 class Homomorphism:
-    """A group homomorphism given by generator images plus an evaluation rule.
+    """A group homomorphism on `domain` given by an evaluation rule.
 
     Multiplicativity is verified on all generator pairs at construction.
     """
 
-    def __init__(self, domain, codomain, gen_images, rule):
-        self.domain = domain
-        self.codomain = codomain
-        self.gen_images = dict(gen_images)
+    def __init__(self, domain, rule):
         self._rule = rule
         for a in domain.gens:
             for b in domain.gens:

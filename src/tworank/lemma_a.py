@@ -15,14 +15,18 @@ Two stream modes feed the check:
   no-dedup oracle on small ambients.
 * RandomGenerated: seeded closures of 1-3 random elements, deduplicated,
   plus the structured families (Sylow-2, Borel, monomial, Singer
-  normalizer, and the ambient itself when it fits the cap).  Closures run
-  on matgroup.RowCodec integer codes, and duplicates are dropped by the
-  order plus a sha256 of the sorted codes, so Mat elements are built only
-  for the subgroups that are emitted and checked.  A candidate's closure
-  stops once it passes |G|/p elements, p the least prime dividing |G|: by
-  Lagrange it is then GL_n(q) itself, the ambient's duplicate when the
-  ambient fits the cap (it is emitted first) and truncated otherwise.
-  The lattice's closures (DenseGroup.close) stop the same way.
+  normalizer, and the ambient itself when it fits the cap).  Closures,
+  dedup and the check run on matgroup.RowCodec integer codes: duplicates
+  are dropped by the order plus a sha256 of the sorted codes, involutions
+  are found by squaring codes, and Mats are built only for the generators
+  and involutions of emitted subgroups, whose classes are conjugation
+  orbits.  A candidate is GL_n(q) itself, the ambient's duplicate when the
+  ambient fits the cap (it is emitted first) and truncated otherwise,
+  when matgroup.certifies_gl2p proves it is GL_2(p) before any closure
+  (determinants plus a transvection whose axis a generator moves; Dickson,
+  via Huppert I, II.8), or when its closure passes |G|/p elements, p the
+  least prime dividing |G| (Lagrange), where it stops.  The lattice's
+  closures (DenseGroup.close) stop the same way.
 
 Also here: the primitive permutation-group bound harnesses (odd-order
 groups against n^{log2 n}, even-order ones against 42^{(n-2)/2}).
@@ -40,6 +44,7 @@ from .matgroup import (
     GLContext,
     RowCodec,
     borel_subgroup,
+    certifies_gl2p,
     code_closure,
     gl_context_q,
     gl_generators,
@@ -48,7 +53,7 @@ from .matgroup import (
     singer_normalizer,
     sylow2_gl,
 )
-from .orbit import Action, orbit
+from .orbit import Action, conjugation, orbit
 from .partarith import geom_sum, heart_coprime, largest_proper_divisor
 from .report import Check, VerificationReport
 
@@ -227,15 +232,24 @@ def _dense_check(D: DenseGroup, elems, gens, ctx: GLContext) -> LemmaAVerdict:
     )
 
 
-def lemma_a_check(H: FiniteGroup, ctx: GLContext) -> LemmaAVerdict:
-    """Best involution heart-part index of H against the geometric bound.
+def lemma_a_check(codec: RowCodec, gen_codes, codes, ctx: GLContext) -> LemmaAVerdict:
+    """Best involution heart-part index of the subgroup H of GL_n(q) with
+    generator codes gen_codes and element codes `codes`, against the
+    geometric bound.
 
     The reported involution minimizes the p'-heart part of its centralizer
     index over all involutions of H (conjugates share an index, so class
-    representatives suffice)."""
-    H.materialize()
-    invs = H.involutions() if H.order % 2 == 0 else ()
-    return _verdict(H.order, tuple(repr(g) for g in H.gens), invs, H.conj_class, repr, ctx)
+    representatives suffice).  Involutions are found on codes and walked
+    in the order of `codes`; Mats are built only for them and the
+    generators, whose conjugation orbits give the classes."""
+    gens = [codec.decode(g) for g in gen_codes]
+    invs = ()
+    if len(codes) % 2 == 0:
+        invs = [codec.decode(x) for x in codes if codec.is_involution(x)]
+    return _verdict(
+        len(codes), tuple(map(repr, gens)), invs,
+        lambda g: orbit([g], conjugation(gens)), repr, ctx,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +263,7 @@ class StreamStats:
     truncated: int = 0
     duplicates: int = 0
     candidates: int = 0
+    certified: int = 0  # candidates proven GL_2(p) with no closure
 
 
 def _group_key(codes):
@@ -286,8 +301,11 @@ def random_stream_campaign(
     """lemma_a verdicts over seeded random closures plus structured
     families; dedup by element-set digest, truncations flagged.
 
-    Closures run on RowCodec codes; a group's Mat elements are built only
-    when it is emitted.  Candidate closures stop at |G|/p elements."""
+    Closures and the check run on RowCodec codes; Mats are built only for
+    the generators and involutions of emitted groups.  A candidate proven
+    to be GL_2(p) by matgroup.certifies_gl2p is not closed, and the other
+    candidates' closures stop at |G|/p elements; either way it is G, and
+    is counted as a stopped closure is."""
     rng = random.Random(seed)
     stats = StreamStats(mode="RandomGenerated")
     verdicts = []
@@ -297,30 +315,35 @@ def random_stream_campaign(
     codec = RowCodec(ctx.field, ctx.n)
     ambient_fits = ctx.order <= max_order
 
-    def emit(codes, group):
-        """Check group() unless a group with these element codes came
+    def emit(gen_codes, codes):
+        """Check the group unless one with these element codes came
         before."""
         key = _group_key(codes)
         if key in seen:
             stats.duplicates += 1
             return
         seen.add(key)
-        verdicts.append(lemma_a_check(group(), ctx))
+        verdicts.append(lemma_a_check(codec, gen_codes, codes, ctx))
         stats.emitted += 1
 
+    def count_ambient():
+        """A candidate that is GL_n(q): the ambient's duplicate when the
+        ambient fits max_order (it is emitted first), else truncated."""
+        if ambient_fits:
+            stats.duplicates += 1
+        else:
+            stats.truncated += 1
+
     def emit_closure(gens, cap):
-        """Close <gens> on codes and emit; past `cap` it is truncated.
-        When the ambient fits max_order only a candidate closure can pass
-        its cap, |G|/p: it is then GL_n(q), the ambient's duplicate."""
+        """Close <gens> on codes and emit.  Only a candidate closure can
+        pass its cap: when the ambient fits max_order the cap is |G|/p,
+        and passing it means GL_n(q)."""
         try:
             gen_codes, codes = codec.closure(gens, cap)
         except ResourceLimitError:
-            if ambient_fits:
-                stats.duplicates += 1
-            else:
-                stats.truncated += 1
+            count_ambient()
             return
-        emit(codes, lambda: codec.group(gen_codes, codes, cap))
+        emit(gen_codes, codes)
 
     structured = []
     try:
@@ -335,13 +358,18 @@ def random_stream_campaign(
     if ambient_fits:
         emit_closure(gl_generators(ctx), max_order + 1)
     for grp in structured:
-        emit([codec.encode(g) for g in grp.elements], grp.materialize)
+        emit(codec.generator_codes(grp.gens), [codec.encode(g) for g in grp.elements])
     # a closure past |G|/p elements is G itself (Lagrange): stop it there
     cap = min(max_order, largest_proper_divisor(ctx.order))
     while stats.emitted < count_target and stats.candidates < max_candidates:
         stats.candidates += 1
         k = rng.choices((1, 2, 3), weights=(70, 25, 5))[0]
-        emit_closure([random_invertible(ctx, rng) for _ in range(k)], cap)
+        gens = [random_invertible(ctx, rng) for _ in range(k)]
+        if certifies_gl2p(codec, codec.generator_codes(gens)):
+            stats.certified += 1
+            count_ambient()
+        else:
+            emit_closure(gens, cap)
     return verdicts, stats
 
 

@@ -37,7 +37,6 @@ class TowerDecomposition:
     H: FiniteGroup
     r: int
     levels: list
-    projections: list
     kernels: list
     k: int | None
 
@@ -52,19 +51,16 @@ def build_tower(H: FiniteGroup, r: int) -> TowerDecomposition:
     if not isinstance(probe, DirectTuple) or len(probe.parts) != r:
         raise ValueError(f"expected tuple elements with {r} components")
     levels = []
-    projections = []
     kernels = []
     current = H.materialize()
     for i in range(1, r + 1):
         levels.append(current)
         if i < r:
             images = dict.fromkeys(x.project(1) for x in current.elements)
-            gen_images = {g: g.project(1) for g in current.gens}
             nxt = FiniteGroup._from_elements(
-                list(images), list(gen_images.values()), cap=H.cap, name=f"L{i + 1}"
+                list(images), [g.project(1) for g in current.gens], cap=H.cap, name=f"L{i + 1}"
             )
-            psi = Homomorphism(current, nxt, gen_images, lambda x: x.project(1))
-            projections.append(psi)
+            Homomorphism(current, lambda x: x.project(1))  # checks multiplicativity
             kernel_elems = [
                 x for x in current.elements if all(p.is_identity() for p in x.parts[1:])
             ]
@@ -77,7 +73,7 @@ def build_tower(H: FiniteGroup, r: int) -> TowerDecomposition:
         else:
             kernels.append(current)
     k = next((i + 1 for i, T in enumerate(kernels) if T.order % 2 == 0), None)
-    return TowerDecomposition(H, r, levels, projections, kernels, k)
+    return TowerDecomposition(H, r, levels, kernels, k)
 
 
 def _index_exact(total: int, part: int, what: str) -> int:

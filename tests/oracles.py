@@ -3,13 +3,14 @@
 No verifier calls these.  Each one is the simplest exhaustive route to an
 answer the engine reaches another way, or a fixture the engine does not
 need: the 2-rank by growing elementary abelian subgroups, every subgroup
-of a small ambient with no conjugacy shortcut, and the Singer collineation
-of PG(2, q).
+of a small ambient with no conjugacy shortcut, the lemma-a check on a
+FiniteGroup of Mat elements, and the Singer collineation of PG(2, q).
 """
 
 from collections import deque
 
 from tworank.errors import ResourceLimitError
+from tworank.lemma_a import _verdict
 from tworank.matgroup import GLContext, singer_element
 from tworank.orbit import orbit
 from tworank.plane import Collineation
@@ -85,6 +86,15 @@ def all_subgroups_oracle(D):
                 found[K] = kg
                 queue.append((K, kg))
     return found
+
+
+def lemma_a_check(H, ctx):
+    """The involution-index verdict of lemma_a.lemma_a_check, on the
+    FiniteGroup H of Mat elements: every element squared with Mat
+    products, classes from H.conj_class."""
+    H.materialize()
+    invs = H.involutions() if H.order % 2 == 0 else ()
+    return _verdict(H.order, tuple(repr(g) for g in H.gens), invs, H.conj_class, repr, ctx)
 
 
 def singer_collineation(plane):

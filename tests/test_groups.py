@@ -251,4 +251,4 @@ def test_homomorphism_rejects_non_multiplicative_rule():
     s3 = lib.symmetric(3)
     bad_target = lib.cyclic(4)
     with pytest.raises(ValueError):
-        Homomorphism(s3, bad_target, {}, lambda g: bad_target.gens[0])
+        Homomorphism(s3, lambda g: bad_target.gens[0])

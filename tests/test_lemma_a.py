@@ -12,13 +12,12 @@ from tworank.lemma_a import (
     exhaustive_campaign,
     is_primitive,
     lemma_a_campaign,
-    lemma_a_check,
     random_stream_campaign,
     sn_bound_check,
 )
-from tworank.matgroup import gl_context_q, gl_generators, sylow2_gl2
+from tworank.matgroup import RowCodec, certifies_gl2p, gl_context_q, gl_generators, sylow2_gl2
 
-from oracles import all_subgroups_oracle
+from oracles import all_subgroups_oracle, lemma_a_check
 
 
 def test_lattice_s4_class_and_subgroup_counts():
@@ -167,10 +166,11 @@ def test_random_stream_dedup(monkeypatch, max_order):
 
     checked = []
     sets_by_key = {}
+    code_check = lemma_a.lemma_a_check
 
-    def recording_check(H, ctx):
-        checked.append(H)
-        return lemma_a_check(H, ctx)
+    def recording_check(codec, gen_codes, codes, ctx):
+        checked.append(frozenset(codes))
+        return code_check(codec, gen_codes, codes, ctx)
 
     def recording_key(codes):
         key = group_key(codes)
@@ -183,7 +183,7 @@ def test_random_stream_dedup(monkeypatch, max_order):
     ctx = gl_context_q(2, 7)
     verdicts, stats = random_stream_campaign(ctx, seed=4, count_target=60, max_order=max_order)
     assert len(checked) == len(verdicts) == stats.emitted
-    assert len({H.element_set for H in checked}) == stats.emitted
+    assert len(set(checked)) == stats.emitted
     assert all(len(sets) == 1 for sets in sets_by_key.values())
     assert len(sets_by_key) == stats.emitted
     assert stats.duplicates > 0
@@ -273,13 +273,14 @@ def test_sn_bound_involution_examples():
 
 @pytest.mark.parametrize("max_order", [30000, 1500, 400])
 def test_random_stream_stop_matches_full_closures(monkeypatch, max_order):
-    """Stopping candidate closures at |G|/p changes no count and no
-    verdict.  On GL_2(7) (|G|/p = 1008), 30000 sends the stopped closures
-    to the ambient's duplicates, 1500 truncates them at the stop, and 400
-    truncates at the cap before the stop."""
+    """Neither the GL_2(p) certificate nor stopping candidate closures at
+    |G|/p changes a count or a verdict.  On GL_2(7) (|G|/p = 1008), 30000
+    sends the stopped closures to the ambient's duplicates, 1500 truncates
+    them at the stop, and 400 truncates at the cap before the stop.  The
+    certificate is switched off to reach the stop, since it decides every
+    GL_2(7) candidate of this stream."""
     from tworank import lemma_a
     from tworank.errors import ResourceLimitError
-    from tworank.matgroup import RowCodec
 
     real = RowCodec.closure
     stopped_at = []
@@ -293,12 +294,81 @@ def test_random_stream_stop_matches_full_closures(monkeypatch, max_order):
 
     def parts(run):
         verdicts, stats = run
-        return [(v.subgroup_order, v.verdict, v.index, v.index_part) for v in verdicts], stats
+        return (
+            [(v.subgroup_order, v.verdict, v.index, v.index_part) for v in verdicts],
+            (stats.emitted, stats.truncated, stats.duplicates, stats.candidates),
+        )
+
+    def campaign():
+        return parts(random_stream_campaign(ctx, seed=1, count_target=100, max_order=max_order))
 
     ctx = gl_context_q(2, 7)
+    certified = campaign()
+    monkeypatch.setattr(lemma_a, "certifies_gl2p", lambda codec, gen_codes: False)
     monkeypatch.setattr(RowCodec, "closure", recording_closure)
-    fast = parts(random_stream_campaign(ctx, seed=1, count_target=100, max_order=max_order))
+    fast = campaign()
     assert stopped_at and set(stopped_at) == {min(max_order, ctx.order // 2)}
     monkeypatch.setattr(lemma_a, "largest_proper_divisor", lambda n: n)
-    slow = parts(random_stream_campaign(ctx, seed=1, count_target=100, max_order=max_order))
-    assert fast == slow
+    slow = campaign()
+    assert certified == fast == slow
+
+
+def test_gl2p_certificate_on_the_gl27_lattice():
+    """On the generators of every subgroup class of GL_2(7), the
+    certificate fires exactly on the class of order |G|."""
+    ctx = gl_context_q(2, 7)
+    codec = RowCodec(ctx.field, ctx.n)
+    _, _, lattice = exhaustive_campaign(ctx, closure(gl_generators(ctx)))
+    D = lattice.D
+    assert len(lattice.classes) == 84
+    for cls in lattice.classes:
+        gen_codes = codec.generator_codes(D.elems[i] for i in cls.gens)
+        assert certifies_gl2p(codec, gen_codes) == (cls.order == ctx.order), cls.gens
+
+
+@pytest.mark.parametrize("q, trials", [(7, 100), (13, 40)])
+def test_gl2p_certified_candidates_close_to_the_ambient(monkeypatch, q, trials):
+    """Every stream candidate the certificate decides closes, with no cap
+    short of |G|, to all of GL_2(q)."""
+    from tworank import lemma_a
+
+    certified = []
+
+    def recording_certificate(codec, gen_codes):
+        ok = certifies_gl2p(codec, gen_codes)
+        if ok:
+            certified.append(gen_codes)
+        return ok
+
+    monkeypatch.setattr(lemma_a, "certifies_gl2p", recording_certificate)
+    ctx = gl_context_q(2, q)
+    codec = RowCodec(ctx.field, ctx.n)
+    _, stats = random_stream_campaign(ctx, seed=1, count_target=trials, max_order=30000)
+    assert certified and len(certified) == stats.certified
+    for gen_codes in certified:
+        _, codes = codec.closure([codec.decode(g) for g in gen_codes], ctx.order)
+        assert len(codes) == ctx.order
+
+
+@pytest.mark.parametrize("n, q, seed, trials", [(2, 7, 1, 100), (2, 13, 1, 40), (3, 7, 2, 20)])
+def test_code_check_matches_mat_oracle(monkeypatch, n, q, seed, trials):
+    """The check on codes and the Mat check of tests/oracles.py give the
+    same verdict on every subgroup the pinned random batteries emit."""
+    from tworank import lemma_a
+
+    code_check = lemma_a.lemma_a_check
+    compared = []
+
+    def both_checks(codec, gen_codes, codes, ctx):
+        verdict = code_check(codec, gen_codes, codes, ctx)
+        H = codec.group(gen_codes, codes, len(codes))
+        assert verdict == lemma_a_check(H, ctx)
+        compared.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(lemma_a, "lemma_a_check", both_checks)
+    ctx = gl_context_q(n, q)
+    max_order = 30_000 if n <= 2 else 4_000
+    verdicts, stats = random_stream_campaign(ctx, seed, trials, max_order)
+    assert compared == verdicts and len(verdicts) == stats.emitted == trials
+    assert any(v.verdict == "odd-order-skip" for v in verdicts)

@@ -11,9 +11,11 @@ from tworank.matgroup import (
     RowCodec,
     borel_subgroup,
     census_csv_row,
+    certifies_gl2p,
     code_closure,
     gl_context,
     gl_context_q,
+    gl_generators,
     monomial_subgroup,
     random_invertible,
     singer_element,
@@ -314,3 +316,47 @@ def test_row_tables_hold_only_the_rows_met():
         m = codec.row_map(g)
         assert all(m[x] in codes for x in codes)
         assert all(len(t) <= 2 * len(codes) for t in m.scaled)
+
+
+@pytest.mark.parametrize("n,q", [(2, 7), (3, 7), (2, 25)])
+def test_is_involution_matches_mat_squares(n, q):
+    """On codes over prime and extension fields: x x = I and x != I, as
+    Mat products say, on a Sylow 2-subgroup (many involutions) and on
+    random elements."""
+    ctx = gl_context_q(n, q)
+    codec = RowCodec(ctx.field, ctx.n)
+    rng = random.Random(3)
+    mats = list(sylow2_gl(n, q).group.elements)
+    mats += [random_invertible(ctx, rng) for _ in range(200)]
+    found = 0
+    for g in mats:
+        expected = not g.is_identity() and (g * g).is_identity()
+        assert codec.is_involution(codec.encode(g)) == expected
+        found += expected
+    assert found > 2
+
+
+def test_gl2p_certificate_only_over_prime_fields_and_n2():
+    """The certificate never fires for n = 3, nor over GF(49), where
+    GL_2(7) is a proper subgroup that holds transvections with two axes
+    (two of its generators are such transvections)."""
+    ctx = gl_context_q(3, 7)
+    codec = RowCodec(ctx.field, ctx.n)
+    rng = random.Random(2)
+    lists = [gl_generators(ctx), list(monomial_subgroup(ctx).gens)]
+    lists += [[random_invertible(ctx, rng) for _ in range(3)] for _ in range(20)]
+    for gens in lists:
+        assert not certifies_gl2p(codec, codec.generator_codes(gens))
+
+    small = gl_generators(gl_context_q(2, 7))
+    ctx49 = gl_context_q(2, 49)
+    embedded = [Mat(ctx49.field, 2, g.vals) for g in small]
+    codec = RowCodec(ctx49.field, 2)
+    gen_codes = codec.generator_codes(embedded)
+    assert len(gen_codes) == 3
+    _, codes = codec.closure(embedded, ctx49.order)
+    assert len(codes) == gl_context_q(2, 7).order
+    assert not certifies_gl2p(codec, gen_codes)
+    # over GF(7) the same generators are certified
+    codec7 = RowCodec(small[0].field, 2)
+    assert certifies_gl2p(codec7, codec7.generator_codes(small))

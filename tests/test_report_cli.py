@@ -172,6 +172,8 @@ def test_cli_usage_errors():
         "verify lemma-a --n 0 --q 7",
         "census sylow2 --n 2 --q 8",  # even q
         "verify tower --trials 0",
+        "verify lemma-a --n 2 --q 7 --mode random --trials -5",
+        "verify lemma-a --n 2 --q 7 --mode random --trials 0",
     ):
         assert run(argv.split()) == 3, argv
 

@@ -31,6 +31,10 @@ DIGESTS = [
      "8cf6e7dc3ae0e7e7f559f1da9f23ca8bd0f79e12d816e608e498c679dda03bd0"),
     ("verify lemma-a --n 2 --q 13 --mode random --seed 1 --trials 40 --cap 20000",
      "859986c33ac2246a176f7c64488277ad94882363ba5277cc25e8889da503094a"),
+    ("verify lemma-a --n 2 --q 7 --mode random --seed 1 --trials 100 --cap 400",
+     "bb62ed088cc76441c0c4714bf036100e6c638f8c34d523a4be02b2c0b5243873"),
+    ("verify lemma-a --n 2 --q 19 --mode random --seed 1 --trials 20",
+     "540a290f3321190f9dcd629d9be2f4483e2fe790d8f00967725f99ac690d008e"),
     ("verify lemma-a --n 3 --q 7 --mode random --seed 2 --trials 20",
      "b712cf95359e75c61f9a32d75702b598026bf9fe9bf0d8cdd19f41a0a76e1f08"),
     ("verify tower --seed 1 --trials 30", "9e9742d42921f29e0b01bbc70676c5aa8e0cdc8346b185462fe4855582a87113"),
