@@ -77,7 +77,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--statement", type=int, choices=(1, 2, 3, 4, 5), default=None,
                    help="default: every statement whose side conditions match")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=positive_int, default=None,
                    help="element cap of the Sylow 2-subgroup closures (statements 2, 4, 5)")
     _add_common(p)
 
@@ -100,7 +100,7 @@ def build_parser():
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=positive_int, default=1000)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=positive_int, default=None,
                    help="largest subgroup order the random stream closes "
                         "(default 30000 for n <= 2, else 4000; the exhaustive "
                         "lattice ignores it)")
@@ -117,7 +117,7 @@ def build_parser():
     p = csub.add_parser("sylow2")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--q", type=odd_prime_power, required=True)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=positive_int, default=None,
                    help="element cap of the Sylow 2-subgroup closure")
     _add_common(p)
 

@@ -283,7 +283,10 @@ class FiniteGroup:
     def quotient(self, N):
         """The action of self on left cosets of the normal subgroup N.
 
-        Returns (quotient group of Perm elements, projection Homomorphism).
+        Returns (quotient group of Perm elements, project), where
+        project(h) is the permutation by which h moves the cosets.  The
+        tower identities do not call it: they count the cosets a class
+        meets (tower.verify_oddnormal).
         """
         from .elements import Perm
 
@@ -309,7 +312,8 @@ class FiniteGroup:
         quo.materialize()
         if quo.order != q_order:
             raise RuntimeError(f"coset action has order {quo.order}, expected {q_order}")
-        return quo, Homomorphism(self, project)
+        check_homomorphism(self, project)
+        return quo, project
 
 
 def _coset_blocks(row, class_of, k):
@@ -343,21 +347,13 @@ def _coset_blocks(row, class_of, k):
     return blocks
 
 
-class Homomorphism:
-    """A group homomorphism on `domain` given by an evaluation rule.
-
-    Multiplicativity is verified on all generator pairs at construction.
-    """
-
-    def __init__(self, domain, rule):
-        self._rule = rule
-        for a in domain.gens:
-            for b in domain.gens:
-                if rule(a * b) != rule(a) * rule(b):
-                    raise ValueError("rule is not multiplicative on generator pairs")
-
-    def __call__(self, g):
-        return self._rule(g)
+def check_homomorphism(domain, rule):
+    """Raise ValueError unless rule(a * b) == rule(a) * rule(b) for every
+    pair of generators a, b of domain."""
+    for a in domain.gens:
+        for b in domain.gens:
+            if rule(a * b) != rule(a) * rule(b):
+                raise ValueError("rule is not multiplicative on generator pairs")
 
 
 def closure(generators, cap=DEFAULT_ELEMENT_CAP):

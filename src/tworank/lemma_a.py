@@ -58,6 +58,8 @@ from .partarith import geom_sum, heart_coprime, largest_proper_divisor
 from .report import Check, VerificationReport
 
 LATTICE_AMBIENT_CAP = 2500
+# the random stream draws at most this many candidates per subgroup wanted
+CANDIDATES_PER_TARGET = 4
 
 SATISFIED = "satisfied"
 VIOLATED_TAG = "VIOLATED"
@@ -296,7 +298,6 @@ def random_stream_campaign(
     seed: int,
     count_target: int,
     max_order: int,
-    max_candidates: int | None = None,
 ) -> tuple:
     """lemma_a verdicts over seeded random closures plus structured
     families; dedup by element-set digest, truncations flagged.
@@ -310,8 +311,6 @@ def random_stream_campaign(
     stats = StreamStats(mode="RandomGenerated")
     verdicts = []
     seen = set()
-    if max_candidates is None:
-        max_candidates = 4 * count_target
     codec = RowCodec(ctx.field, ctx.n)
     ambient_fits = ctx.order <= max_order
 
@@ -361,6 +360,7 @@ def random_stream_campaign(
         emit(codec.generator_codes(grp.gens), [codec.encode(g) for g in grp.elements])
     # a closure past |G|/p elements is G itself (Lagrange): stop it there
     cap = min(max_order, largest_proper_divisor(ctx.order))
+    max_candidates = CANDIDATES_PER_TARGET * count_target
     while stats.emitted < count_target and stats.candidates < max_candidates:
         stats.candidates += 1
         k = rng.choices((1, 2, 3), weights=(70, 25, 5))[0]

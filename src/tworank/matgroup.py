@@ -296,14 +296,9 @@ def sylow2_gl2(q: int) -> SylowTwoDescriptor:
 
 
 def _census(group):
-    total = 0
-    central = 0
-    for g in group.elements:
-        if not g.is_identity() and (g * g).is_identity():
-            total += 1
-            if g.is_scalar():
-                central += 1
-    return total, central
+    """(involutions, central involutions) of group."""
+    invs = group.involutions()
+    return len(invs), sum(1 for g in invs if g.is_scalar())
 
 
 def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:

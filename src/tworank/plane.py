@@ -24,6 +24,12 @@ from .report import VERIFIED, Check, VerificationReport
 PLANE_EXHAUSTIVE_AXIOM_CAP = 16
 DEFAULT_CLASS_CAP = 500_000
 DEFAULT_GROUP_CAP = 200_000
+# odd_transitive_search: the cap of each pair closure, the number of random
+# words drawn and of pairs tried, the seed, and 2 to 11 letters per word
+SEARCH_CLOSURE_CAP = 100_000
+SEARCH_CANDIDATES = 1000
+SEARCH_SEED = 0
+RANDOM_WORD_LENGTH = 12
 
 
 class IncidencePlane:
@@ -444,20 +450,21 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
     return check.result(ok, counts, {"counts": counts})
 
 
-def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budget=1000, seed=0):
+def odd_transitive_search(G: PlaneGroup):
     """Search G for an odd-order subgroup transitive on the plane's points.
 
     Order of attack: G itself if odd; cyclic subgroups generated by single
     odd-order elements (a full-length cycle suffices); then closures of
-    small odd-order generator sets within the budget.  Returns
-    (witness FiniteGroup or None, VerificationReport).
+    small odd-order generator pairs, each closure capped at
+    SEARCH_CLOSURE_CAP elements.  Returns (witness FiniteGroup or None,
+    VerificationReport).
     """
     import random as _random
 
     plane = G.plane
     n_pts = plane.num_points
-    check = Check("odd-transitive", {"q": plane.order}, seed=seed)
-    rng = _random.Random(seed)
+    check = Check("odd-transitive", {"q": plane.order}, seed=SEARCH_SEED)
+    rng = _random.Random(SEARCH_SEED)
     if not is_transitive(G):
         return None, check.not_applicable(reason_transitive=0)
     try:
@@ -469,7 +476,7 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
         return big, check.report(VERIFIED, {"witness_order": big.order, "mode": 0})
     # single elements: an odd-order element with one full cycle
     candidates = universe if universe is not None else [
-        _random_word(G, rng) for _ in range(candidate_budget)
+        _random_word(G, rng) for _ in range(SEARCH_CANDIDATES)
     ]
     for h in candidates:
         d = h.order()
@@ -482,10 +489,10 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
                 )
     # small odd-order generator sets
     odd_pool = [h for h in candidates if h.order() % 2 == 1 and not h.is_identity()]
-    for _ in range(min(candidate_budget, len(odd_pool) ** 2 if odd_pool else 0)):
+    for _ in range(min(SEARCH_CANDIDATES, len(odd_pool) ** 2 if odd_pool else 0)):
         pair = [rng.choice(odd_pool), rng.choice(odd_pool)]
         try:
-            sub = closure(pair, cap=closure_budget)
+            sub = closure(pair, cap=SEARCH_CLOSURE_CAP)
         except ResourceLimitError:
             continue
         if sub.order % 2 == 1 and is_transitive(sub):
@@ -493,8 +500,8 @@ def odd_transitive_search(G: PlaneGroup, closure_budget=100_000, candidate_budge
     return None, check.not_applicable(exhausted=1)
 
 
-def _random_word(G: PlaneGroup, rng, length=12):
+def _random_word(G: PlaneGroup, rng):
     w = G.identity
-    for _ in range(rng.randrange(2, length)):
+    for _ in range(rng.randrange(2, RANDOM_WORD_LENGTH)):
         w = w * rng.choice(G.gens)
     return w

@@ -44,10 +44,6 @@ class VerificationReport:
         if self.verdict == VIOLATED and self.witness is None:
             raise ValueError("a violated report must carry a witness")
 
-    @property
-    def ok(self):
-        return self.verdict in (VERIFIED, NOT_APPLICABLE)
-
     def to_dict(self, stable=False):
         d = {
             "schema": SCHEMA_VERSION,

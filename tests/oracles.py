@@ -4,7 +4,8 @@ No verifier calls these.  Each one is the simplest exhaustive route to an
 answer the engine reaches another way, or a fixture the engine does not
 need: the 2-rank by growing elementary abelian subgroups, every subgroup
 of a small ambient with no conjugacy shortcut, the lemma-a check on a
-FiniteGroup of Mat elements, and the Singer collineation of PG(2, q).
+FiniteGroup of Mat elements, the Singer collineation of PG(2, q), and the
+tower identities' indices from centralizers and the quotient group.
 """
 
 from collections import deque
@@ -106,3 +107,21 @@ def singer_collineation(plane):
     if coll.order() != q * q + q + 1:
         raise RuntimeError("Singer point order is off")
     return coll
+
+
+def _exact(total, part):
+    if total % part:
+        raise AssertionError(f"{part} does not divide {total}")
+    return total // part
+
+
+def centralizer_index(H, g):
+    """|H:C_H(g)| as |H| / |C_H(g)|, the centralizer counted with two
+    object products per element of H; g need not lie in H."""
+    return _exact(H.order, H.centralizer_order(g))
+
+
+def quotient_index(H, N, g):
+    """|H/N : C_{H/N}(gN)| on the coset-action group H.quotient(N)."""
+    quo, project = H.quotient(N)
+    return centralizer_index(quo, project(g))

@@ -5,8 +5,9 @@ different one: the class-mask normal-subgroup lattice against a brute
 subgroup enumeration filtered by normality and against the element-level
 join enumeration it replaced, the commuting-involution
 2-rank search against a subgroup-lattice scan, quotient projections
-against elementwise multiplication, and the wreath involution formula
-against direct enumeration in a second regime.
+against elementwise multiplication, the tower identities' class counts
+against centralizer and quotient-group indices, and the wreath involution
+formula against direct enumeration in a second regime.
 """
 
 import random
@@ -14,13 +15,14 @@ import random
 import pytest
 
 from tworank import constructions as lib
+from tworank import tower
 from tworank.dense import DenseGroup
 from tworank.groups import FiniteGroup, closure
 from tworank.lemma_a import lemma_a_campaign
 from tworank.matgroup import sylow2_gl, wreath_involution_count
 from tworank.tower import random_identity_campaign
 
-from oracles import all_subgroups_oracle, two_rank
+from oracles import all_subgroups_oracle, centralizer_index, quotient_index, two_rank
 
 
 AMBIENTS = [
@@ -157,6 +159,61 @@ def test_quotient_projection_multiplicative_on_random_pairs(build):
             y = rng.choice(G.elements)
             assert pi(x * y) == pi(x) * pi(y)
         break
+
+
+def assert_oddnormal_indices(H, N, g, counts):
+    assert counts["lhs"] == centralizer_index(H, g)
+    assert counts["idx_N"] == centralizer_index(N, g)
+    assert counts["idx_quotient"] == quotient_index(H, N, g)
+
+
+@pytest.mark.parametrize("build", AMBIENTS)
+def test_oddnormal_indices_match_quotient_oracle(build):
+    G = build()
+    invs = G.involutions()
+    checked = 0
+    for N in G.normal_subgroups():
+        if N.order % 2 == 0:
+            continue
+        for g in invs:
+            rep = tower.verify_oddnormal(G, N, g)
+            assert rep.verdict == "verified"
+            assert_oddnormal_indices(G, N, g, rep.counts)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("seed, trials", [(1, 30), (7, 100)])
+def test_identity_indices_match_oracles_on_campaign(monkeypatch, seed, trials):
+    """Every instance the campaign passes to the three verifiers: the
+    class counts agree with |H|/|C_H(g)| and the quotient-group index."""
+    calls = {name: [] for name in ("verify_oddnormal", "verify_sylow_fusion", "verify_tower_identity")}
+    for name, seen in calls.items():
+        engine = getattr(tower, name)
+
+        def record(*args, engine=engine, seen=seen):
+            rep = engine(*args)
+            seen.append((args, rep))
+            return rep
+
+        monkeypatch.setattr(tower, name, record)
+    random_identity_campaign(seed, trials)
+    monkeypatch.undo()
+    applicable = 0
+    for (H, N, g), rep in calls["verify_oddnormal"]:
+        if rep.verdict != "not-applicable":
+            assert_oddnormal_indices(H, N, g, rep.counts)
+            applicable += 1
+    for (H, N, g), rep in calls["verify_sylow_fusion"]:
+        if rep.verdict != "not-applicable":
+            assert rep.counts["lhs"] == centralizer_index(H, g)
+            assert rep.counts["idx_N"] == centralizer_index(N, g)
+            applicable += 1
+    for (tw, g), rep in calls["verify_tower_identity"]:
+        if rep.verdict != "not-applicable":
+            assert rep.counts["lhs"] == centralizer_index(tw.H, g)
+            applicable += 1
+    assert all(calls.values()) and applicable
 
 
 def test_wreath_census_formula_second_regime():

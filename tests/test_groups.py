@@ -246,9 +246,10 @@ def test_derived_subgroup():
 
 
 def test_homomorphism_rejects_non_multiplicative_rule():
-    from tworank.groups import Homomorphism
+    from tworank.groups import check_homomorphism
 
     s3 = lib.symmetric(3)
     bad_target = lib.cyclic(4)
     with pytest.raises(ValueError):
-        Homomorphism(s3, lambda g: bad_target.gens[0])
+        check_homomorphism(s3, lambda g: bad_target.gens[0])
+    check_homomorphism(s3, lambda g: g)  # the identity map passes

@@ -174,6 +174,9 @@ def test_cli_usage_errors():
         "verify tower --trials 0",
         "verify lemma-a --n 2 --q 7 --mode random --trials -5",
         "verify lemma-a --n 2 --q 7 --mode random --trials 0",
+        "verify lemma-a --n 2 --q 7 --mode random --trials 5 --cap 0",
+        "verify lemma-a --n 2 --q 7 --mode random --trials 5 --cap -3",
+        "verify sylow2 --n 2 --q 7 --cap 0",
     ):
         assert run(argv.split()) == 3, argv
 

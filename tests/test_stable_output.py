@@ -40,6 +40,8 @@ DIGESTS = [
     ("verify tower --seed 1 --trials 30", "9e9742d42921f29e0b01bbc70676c5aa8e0cdc8346b185462fe4855582a87113"),
     ("verify tower --seed 1 --trials 100", "2ace15f08d3445701941da27a535ac570ee6859e95fe5ddff5387d676485c4b3"),
     ("verify tower --seed 3 --trials 40", "6d4d152ec99a138e1c36577ee4653ea1edd56d93a1d2fb82711aad7e060f7eec"),
+    # the one pinned tower battery whose quotient indices reach 6 and 36
+    ("verify tower --seed 7 --trials 100", "a08dba7ef48545718a99735b97b5dcef59307c79d064fe5d9e020f1f32935fe9"),
 ]
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from tworank import constructions as lib
-from tworank.elements import Perm
+from tworank.elements import DirectTuple, Perm
 from tworank.groups import closure
 from tworank.tower import (
     build_tower,
@@ -83,6 +83,19 @@ def test_oddnormal_product_example():
     r = verify_oddnormal(H, N, g)
     assert r.verdict == "verified"
     assert r.counts["lhs"] == 3 and r.counts["idx_N"] == 3 and r.counts["idx_quotient"] == 1
+
+
+def test_oddnormal_quotient_index_above_one():
+    # H = S3 x S3, N = C3 x 1, g = (t, t'): g^H has 9 elements in 3 cosets
+    # of N, and gN has 3 conjugates in H/N = C2 x S3
+    s3 = lib.symmetric(3)
+    H = lib.direct_product(s3, s3)
+    rot = Perm.from_cycles(3, (0, 1, 2))
+    N = closure([DirectTuple((rot, s3.identity))])
+    g = DirectTuple((Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (1, 2))))
+    r = verify_oddnormal(H, N, g)
+    assert r.verdict == "verified"
+    assert r.counts == {"lhs": 9, "idx_N": 3, "idx_quotient": 3}
 
 
 def test_oddnormal_preconditions():
