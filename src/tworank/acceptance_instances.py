@@ -67,9 +67,9 @@ def singer_normalizer_group(plane):
     return G
 
 
-def _stabilizer_subgroups(G, alpha=0):
-    """Subgroups of the point stabilizer keyed by order (cyclic pieces)."""
-    stab = G.point_stabilizer(alpha)
+def _stabilizer_subgroups(G):
+    """Subgroups of the stabilizer of point 0 keyed by order (cyclic pieces)."""
+    stab = G.point_stabilizer()
     out = {}
     for h in stab.elements:
         d = h.order()

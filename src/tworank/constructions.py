@@ -137,7 +137,7 @@ def direct_product(*groups):
             parts[i] = g
             gens.append(DirectTuple(parts))
     elements = [DirectTuple(combo) for combo in iter_product(*[G.elements for G in groups])]
-    return FiniteGroup._from_elements(elements, gens, name="product")
+    return FiniteGroup._from_elements(elements, gens)
 
 
 def diagonal_subgroup(G, twist=None):
@@ -150,4 +150,4 @@ def diagonal_subgroup(G, twist=None):
         mapped = {g: (twist * g) * tinv for g in G.elements}
     gens = [DirectTuple((g, mapped[g])) for g in G.gens]
     elements = [DirectTuple((g, mapped[g])) for g in G.elements]
-    return FiniteGroup._from_elements(elements, gens, name="diagonal")
+    return FiniteGroup._from_elements(elements, gens)

@@ -42,7 +42,6 @@ class DenseGroup:
             self._lrows[j] = [index[g * x] for x in self.elems]
         self._parent, self._via = self._schreier_tree()
         self._crows = {}
-        self._orders = None
         self._proper_max = largest_proper_divisor(self.n)
 
     def _schreier_tree(self):
@@ -103,11 +102,6 @@ class DenseGroup:
         if row is None:
             row = self._tree_row(j, self._lrows, False)
         return row
-
-    def orders(self):
-        if self._orders is None:
-            self._orders = [g.order() for g in self.elems]
-        return self._orders
 
     # -- closures -----------------------------------------------------------
 

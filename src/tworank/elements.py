@@ -162,75 +162,34 @@ class Mat(GroupElement):
             raise ValueError(f"mixed fields: {F} and {other.field}")
         n = self.n
         A, B = self.vals, other.vals
-        if F.a == 1:
+        if n == 2 and F.a == 1:
             p = F.p
-            if n == 2:
-                a, b, c, d = A
-                e, f, g, h = B
-                vals = (
-                    (a * e + b * g) % p,
-                    (a * f + b * h) % p,
-                    (c * e + d * g) % p,
-                    (c * f + d * h) % p,
-                )
-            else:
-                vals = tuple(
-                    sum(A[i * n + k] * B[k * n + j] for k in range(n)) % p
-                    for i in range(n)
-                    for j in range(n)
-                )
+            a, b, c, d = A
+            e, f, g, h = B
+            vals = (
+                (a * e + b * g) % p,
+                (a * f + b * h) % p,
+                (c * e + d * g) % p,
+                (c * f + d * h) % p,
+            )
         else:
-            mul, add = F.mul_code, F.add_code
-            out = []
-            for i in range(n):
-                for j in range(n):
-                    acc = 0
-                    for k in range(n):
-                        acc = add(acc, mul(A[i * n + k], B[k * n + j]))
-                    out.append(acc)
-            vals = tuple(out)
-        return Mat(self.field, n, vals, _checked=True)
+            dot = F.dot
+            cols = [B[j::n] for j in range(n)]
+            vals = tuple(dot(A[i:i + n], col) for i in range(0, n * n, n) for col in cols)
+        return Mat(F, n, vals, _checked=True)
 
     def det(self):
-        # Gaussian elimination over the field; returns a field code
-        F, n = self.field, self.n
-        m = [list(self.vals[i * n : (i + 1) * n]) for i in range(n)]
-        det = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = F.neg_code(det)
-            det = F.mul_code(det, m[col][col])
-            inv_p = F.inv_code(m[col][col])
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    factor = F.mul_code(m[r][col], inv_p)
-                    for c in range(col, n):
-                        m[r][c] = F.sub_code(m[r][c], F.mul_code(factor, m[col][c]))
-        return det
+        """The determinant as a field code, by row reduction."""
+        n = self.n
+        pivots, det = self.field.row_reduce(list(self.rows()), n)
+        return det if len(pivots) == n else 0
 
     def inv(self):
         F, n = self.field, self.n
-        m = [list(self.vals[i * n : (i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-            inv_p = F.inv_code(m[col][col])
-            m[col] = [F.mul_code(inv_p, c) for c in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [F.sub_code(c, F.mul_code(factor, d)) for c, d in zip(m[r], m[col])]
-        vals = []
-        for i in range(n):
-            vals.extend(m[i][n:])
-        return Mat(F, n, vals, _checked=True)
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows())]
+        if len(F.row_reduce(m, n)[0]) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return Mat(F, n, [v for row in m for v in row[n:]], _checked=True)
 
     def identity(self):
         return Mat.identity_of(self.field, self.n)

@@ -11,6 +11,11 @@ inverses and the Frobenius are table lookups.  Fields are capped at
 q <= 2^16 (FIELD_SIZE_CAP), which keeps the tables small; field_make
 raises ResourceLimitError above the cap.
 
+The field's linear algebra is two primitives that every matrix routine
+calls: row_reduce (Gauss-Jordan elimination to reduced row echelon form,
+which also yields the determinant) and dot (the dot product of two code
+vectors, bound once per field).
+
 The modulus is the lexicographically smallest monic irreducible polynomial
 of the requested degree (high-degree coefficients compared first), so field
 construction is deterministic across runs.  A code does not record its
@@ -171,6 +176,18 @@ class FieldSpec:
         self._log = log
         self.generator = gen
         self._frob = tuple(self.pow_code(c, p) for c in range(q))
+        if a == 1:
+            def dot(u, v):
+                return sum(map(int.__mul__, u, v)) % p
+        else:
+            add, mul = self.add_code, self.mul_code
+
+            def dot(u, v):
+                acc = 0
+                for x, y in zip(u, v):
+                    acc = add(acc, mul(x, y))
+                return acc
+        self.dot = dot
 
     def _find_generator(self):
         # smallest code of full multiplicative order; existence certifies
@@ -250,6 +267,37 @@ class FieldSpec:
     def frob_code(self, x):
         """x^p, the absolute Frobenius."""
         return self._frob[x]
+
+    # -- linear algebra ----------------------------------------------------
+
+    def row_reduce(self, m, ncols):
+        """Bring the code rows m to reduced row echelon form on their first
+        ncols columns, in place (rows are replaced, never mutated), with
+        every column of a row carried along.
+
+        Returns (pivot columns, the product of the pivots negated once per
+        row swap); when the pivots cover all ncols columns of a square
+        block, that product is its determinant."""
+        mul, sub = self.mul_code, self.sub_code
+        pivots, det = [], 1
+        for c in range(ncols):
+            r = len(pivots)
+            piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+            if piv is None:
+                continue
+            if piv != r:
+                m[r], m[piv] = m[piv], m[r]
+                det = self.neg_code(det)
+            lead = m[r][c]
+            det = mul(det, lead)
+            scale = self.inv_code(lead)
+            row = m[r] = [mul(scale, v) for v in m[r]]
+            for i, other in enumerate(m):
+                f = other[c]
+                if f and i != r:
+                    m[i] = [sub(v, mul(f, w)) for v, w in zip(other, row)]
+            pivots.append(c)
+        return pivots, det
 
     def __repr__(self):
         return f"GF({self.q})"

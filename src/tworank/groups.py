@@ -32,7 +32,7 @@ class FiniteGroup:
     afterwards.
     """
 
-    def __init__(self, generators, cap=DEFAULT_ELEMENT_CAP, name=None):
+    def __init__(self, generators, cap=DEFAULT_ELEMENT_CAP):
         generators = [g for g in generators if g is not None]
         if not generators:
             raise ValueError("generators must be nonempty")
@@ -47,14 +47,13 @@ class FiniteGroup:
         self.identity = shape_witness.identity()
         self.gens = tuple(seen) if seen else (self.identity,)
         self.cap = cap
-        self.name = name
         self._elements = None
         self._element_set = None
 
     @classmethod
-    def _from_elements(cls, elements, generators, cap=DEFAULT_ELEMENT_CAP, name=None):
+    def _from_elements(cls, elements, generators, cap=DEFAULT_ELEMENT_CAP):
         """Wrap an already-closed element collection (internal use)."""
-        group = cls(list(generators) or list(elements), cap=cap, name=name)
+        group = cls(list(generators) or list(elements), cap=cap)
         elements = list(elements)
         if not any(e.is_identity() for e in elements):
             elements.insert(0, group.identity)
@@ -96,13 +95,12 @@ class FiniteGroup:
 
     def __repr__(self):
         size = len(self._elements) if self._elements is not None else "?"
-        label = self.name or "group"
-        return f"<{label} on {len(self.gens)} generators, order {size}>"
+        return f"<group on {len(self.gens)} generators, order {size}>"
 
     # -- basic queries -------------------------------------------------------
 
-    def subgroup(self, generators, name=None):
-        return FiniteGroup(list(generators), cap=self.cap, name=name).materialize()
+    def subgroup(self, generators):
+        return FiniteGroup(list(generators), cap=self.cap).materialize()
 
     def is_subgroup_of(self, other):
         return self.element_set <= other.element_set
@@ -144,7 +142,7 @@ class FiniteGroup:
         """A Sylow p-subgroup found by greedy normalizer climbing."""
         target = part_pow(self.order, p)
         if target == 1:
-            return FiniteGroup._from_elements([self.identity], [], cap=self.cap, name=f"sylow{p}")
+            return FiniteGroup._from_elements([self.identity], [], cap=self.cap)
         seed = None
         for g in self.elements:
             d = g.order()
@@ -152,10 +150,10 @@ class FiniteGroup:
                 nonp = d // part_pow(d, p)
                 seed = g**nonp
                 break
-        P = self.subgroup([seed], name=f"sylow{p}")
+        P = self.subgroup([seed])
         while P.order < target:
             z = self._climbing_element(P, p)
-            P = self.subgroup(list(P.gens) + [z], name=f"sylow{p}")
+            P = self.subgroup(list(P.gens) + [z])
         if P.order != target:
             raise RuntimeError("Sylow climb overshot the target order")
         return P
@@ -261,7 +259,6 @@ class FiniteGroup:
         for n in odd:
             if not n.element_set <= best.element_set:
                 raise RuntimeError("odd normal subgroups do not form a chain to the core")
-        best.name = "odd-core"
         return best
 
     def derived_subgroup(self):
@@ -274,9 +271,7 @@ class FiniteGroup:
             closed.update(self.conj_class(c))
         D = DenseGroup(self)
         elems, gens = D.span(D.index[c] for c in sorted(closed, key=lambda g: g.key()))
-        derived = D.subgroup_from_indices(elems, gens)
-        derived.name = "derived"
-        return derived
+        return D.subgroup_from_indices(elems, gens)
 
     # -- quotients -------------------------------------------------------
 
@@ -308,7 +303,7 @@ class FiniteGroup:
             return Perm(coset_of[h * reps[i]] for i in range(k))
 
         q_order = self.order // N.order
-        quo = FiniteGroup([project(g) for g in self.gens], cap=self.cap, name="quotient")
+        quo = FiniteGroup([project(g) for g in self.gens], cap=self.cap)
         quo.materialize()
         if quo.order != q_order:
             raise RuntimeError(f"coset action has order {quo.order}, expected {q_order}")

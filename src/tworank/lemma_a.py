@@ -226,8 +226,7 @@ def _verdict(order, gen_reprs, invs, orbit, show, ctx) -> LemmaAVerdict:
 def _dense_check(D: DenseGroup, elems, gens, ctx: GLContext) -> LemmaAVerdict:
     """lemma_a_check on a subgroup of D given by element and generator
     indices; involutions are walked in index order."""
-    orders = D.orders()
-    invs = sorted(i for i in elems if orders[i] == 2)
+    invs = sorted(i for i in elems if i != D.id_idx and D.rrow(i)[i] == D.id_idx)
     return _verdict(
         len(elems), tuple(repr(D.elems[g]) for g in gens), invs,
         lambda i: D.class_orbit(i, gens), lambda i: repr(D.elems[i]), ctx

@@ -180,29 +180,14 @@ def _twist_kernel_basis(field, s, s_target):
                 row[i * n + k] = field.add_code(row[i * n + k], sv[k * n + j])
                 row[k * n + j] = field.sub_code(row[k * n + j], tv[i * n + k])
             rows.append(row)
-    m = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(nn):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv_code(m[r][c])
-        m[r] = [field.mul_code(inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [field.sub_code(v, field.mul_code(f, w)) for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    pivots, _ = field.row_reduce(rows, nn)
     free = [c for c in range(nn) if c not in pivots]
     basis = []
     for fc in free:
         vec = [0] * nn
         vec[fc] = 1
         for ri, pc in enumerate(pivots):
-            vec[pc] = field.neg_code(m[ri][fc])
+            vec[pc] = field.neg_code(rows[ri][fc])
         basis.append(vec)
     return basis
 
@@ -309,43 +294,25 @@ def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
         return sylow2_gl2(q)
     ctx = gl_context_q(n, q)
     field = ctx.field
-    gens = []
-    if q % 4 == 3:
-        if n == 1:
-            gens = [Mat(field, 1, (field.neg_code(1),))]
-            construction = "OddSplit"
-        else:
-            base = sylow2_gl2(q)
-            k = n // 2
-            perm_gens, blocks = sylow2_symmetric_gens(k) if k > 1 else ([], [1])
-            offsets = []
-            off = 0
-            for size in blocks:
-                offsets.append(off)
-                off += size
-            for o in offsets:
-                for g in base.generators:
-                    gens.append(block_embed(field, n, g, 2 * o))
-            for s in perm_gens:
-                gens.append(block_perm_matrix(field, n, s, 2))
-            construction = "WreathEven"
-            if n % 2 == 1:
-                gens.append(identity_with(field, n, {(n - 1, n - 1): field.neg_code(1)}))
-                construction = "OddSplit"
+    if q % 4 == 3 and n == 1:
+        gens = [Mat(field, 1, (field.neg_code(1),))]
+        construction = "OddSplit"
     else:
-        t2 = part_pow(q - 1, 2)
-        zeta = field.pow_code(field.generator, (q - 1) // t2)
-        perm_gens, blocks = sylow2_symmetric_gens(n) if n > 1 else ([], [1])
-        offsets = []
-        off = 0
-        for size in blocks:
-            offsets.append(off)
-            off += size
-        for o in offsets:
-            gens.append(identity_with(field, n, {(o, o): zeta}))
-        for s in perm_gens:
-            gens.append(block_perm_matrix(field, n, s, 1))
-        construction = "DiagonalWreath"
+        # copies of a Sylow 2-subgroup of GL_bsize(q) on diagonal blocks,
+        # permuted by a Sylow 2-subgroup of S_k on the k blocks
+        if q % 4 == 3:
+            bsize, block_gens, construction = 2, sylow2_gl2(q).generators, "WreathEven"
+        else:
+            zeta = field.pow_code(field.generator, (q - 1) // part_pow(q - 1, 2))
+            bsize, block_gens, construction = 1, [Mat(field, 1, (zeta,))], "DiagonalWreath"
+        k = n // bsize
+        perm_gens, blocks = sylow2_symmetric_gens(k) if k > 1 else ([], [1])
+        offsets = [bsize * sum(blocks[:i]) for i in range(len(blocks))]
+        gens = [block_embed(field, n, g, o) for o in offsets for g in block_gens]
+        gens += [block_perm_matrix(field, n, s, bsize) for s in perm_gens]
+        if bsize == 2 and n % 2 == 1:
+            gens.append(identity_with(field, n, {(n - 1, n - 1): field.neg_code(1)}))
+            construction = "OddSplit"
     group = code_closure(ctx, gens, cap)
     total, central = _census(group)
     return SylowTwoDescriptor(
@@ -521,17 +488,6 @@ class RowCodec:
         self.n = n
         self.base = field.q**n
         self.identity = self.encode(Mat.identity_of(field, n))
-        q = field.q
-        if field.a == 1:
-            def dot(row, col):
-                return sum(map(int.__mul__, row, col)) % q
-        else:
-            def dot(row, col):
-                acc = 0
-                for a, b in zip(row, col):
-                    acc = field.add_code(acc, field.mul_code(a, b))
-                return acc
-        self._dot = dot
 
     def encode(self, g: Mat) -> int:
         q, x = self.field.q, 0
@@ -551,7 +507,7 @@ class RowCodec:
 
     def row_map(self, g: int) -> _RowMap:
         """The map x -> x g on codes, for the element with code g."""
-        n, q, dot = self.n, self.field.q, self._dot
+        n, q, dot = self.n, self.field.q, self.field.dot
         vals = self._digits(g, n * n)
         cols = [vals[j::n] for j in range(n)]
 
@@ -567,7 +523,7 @@ class RowCodec:
         """Whether x x = I and x != I, one entry of x x at a time."""
         if x == self.identity:
             return False
-        n, dot = self.n, self._dot
+        n, dot = self.n, self.field.dot
         vals = self._digits(x, n * n)
         for i in range(n):
             row = vals[i * n:(i + 1) * n]

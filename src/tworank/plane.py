@@ -155,18 +155,12 @@ class Collineation:
         if mat.field is not F or mat.n != 3:
             raise ValueError("matrix must be 3x3 over the plane's field")
         img = []
-        vals = mat.vals
+        rows, dot = mat.rows(), F.dot
         for pt in plane.points:
             v = pt
             for _ in range(frob_power % F.a):
                 v = tuple(F.frob_code(c) for c in v)
-            w = []
-            for i in range(3):
-                acc = 0
-                for j in range(3):
-                    acc = F.add_code(acc, F.mul_code(vals[i * 3 + j], v[j]))
-                w.append(acc)
-            img.append(plane.point_index[plane.normalize(w)])
+            img.append(plane.point_index[plane.normalize([dot(row, v) for row in rows])])
         return cls(plane, Perm(img))
 
     def fixed_points(self):
@@ -194,14 +188,7 @@ def frobenius_collineation(plane: IncidencePlane) -> Collineation:
     F = plane.field
     if F.a % 2:
         raise ValueError(f"plane order {plane.order} is not a square")
-    half = F.a // 2
-    img = []
-    for pt in plane.points:
-        v = pt
-        for _ in range(half):
-            v = tuple(F.frob_code(c) for c in v)
-        img.append(plane.point_index[v])
-    return Collineation(plane, Perm(img))
+    return Collineation.from_matrix(plane, Mat.identity_of(F, 3), F.a // 2)
 
 
 @dataclass
@@ -284,14 +271,15 @@ class PlaneGroup(FiniteGroup):
         super().__init__([c.point_perm for c in collineations], cap=cap)
         self.plane = plane
 
-    def conj_class_of(self, perm, cap=DEFAULT_CLASS_CAP):
-        """BFS of the conjugacy class of `perm` under the generators; does
-        not require materializing the group."""
-        return tuple(orbit([perm], conjugation(self.gens), cap))
+    def conj_class_of(self, perm):
+        """BFS of the conjugacy class of `perm` under the generators, capped
+        at DEFAULT_CLASS_CAP; does not require materializing the group."""
+        return tuple(orbit([perm], conjugation(self.gens), DEFAULT_CLASS_CAP))
 
-    def point_stabilizer(self, alpha=0):
-        elems = [g for g in self.elements if g.img[alpha] == alpha]
-        return FiniteGroup._from_elements(elems, [], cap=self.cap, name="stabilizer")
+    def point_stabilizer(self):
+        """The stabilizer of the base point 0."""
+        elems = [g for g in self.elements if g.img[0] == 0]
+        return FiniteGroup._from_elements(elems, [], cap=self.cap)
 
 
 def gl3_collineation_generators(plane: IncidencePlane):
@@ -357,13 +345,20 @@ def counting_identity_check(G: PlaneGroup, g: Collineation) -> VerificationRepor
         cls = G.conj_class_of(g)
     except ResourceLimitError as exc:
         return check.skipped(exc)
+    # one scan of the class: each conjugate's fixed points, tallied per
+    # point for the double count, and the conjugates fixing point 0
     n_pts = plane.num_points
+    per_point = [0] * n_pts
+    fix_alpha = 0
     for h in cls:
-        fixed = sum(1 for i in range(n_pts) if h.img[i] == i)
-        if fixed != baer_count:
-            return check.not_applicable(reason_conjugate_fixes=fixed, expected=baer_count)
+        img = h.img
+        fixed = [i for i in range(n_pts) if img[i] == i]
+        if len(fixed) != baer_count:
+            return check.not_applicable(reason_conjugate_fixes=len(fixed), expected=baer_count)
+        for i in fixed:
+            per_point[i] += 1
+        fix_alpha += img[0] == 0
     class_size = len(cls)
-    fix_alpha = sum(1 for h in cls if h.img[0] == 0)
     expected = u * u - u + 1
     prime_cond = baer_prime_condition(u)
     counts = {
@@ -378,12 +373,6 @@ def counting_identity_check(G: PlaneGroup, g: Collineation) -> VerificationRepor
         counts["ratio"] = ratio
         # double-count cross-check: per-point incidence counts of the
         # class must be constant over points of a transitive group
-        per_point = [0] * n_pts
-        for h in cls:
-            img = h.img
-            for i in range(n_pts):
-                if img[i] == i:
-                    per_point[i] += 1
         constant = all(c == per_point[0] for c in per_point)
         counts["per_point_constant"] = int(constant)
         counts["double_count"] = class_size * baer_count
@@ -396,9 +385,10 @@ def counting_identity_check(G: PlaneGroup, g: Collineation) -> VerificationRepor
     return check.result(ok, counts, {"counts": counts})
 
 
-def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
+def fixpoint_transitivity_check(G, K) -> VerificationReport:
     """Equivalence check: N_G(K) is transitive on Fix(K) if and only if
-    every G-conjugate of K inside G_alpha is already a G_alpha-conjugate.
+    every G-conjugate of K inside G_alpha is already a G_alpha-conjugate,
+    for the base point alpha = 0.
 
     G is any permutation FiniteGroup, a PlaneGroup included; both sides are
     computed exhaustively.
@@ -415,7 +405,7 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
     kset = K.element_set
     if not kset <= big.element_set:
         raise ValueError("K must be a subgroup of G")
-    if any(k.img[alpha] != alpha for k in K.gens):
+    if any(k.img[0] != 0 for k in K.gens):
         raise ValueError("K must fix the base point")
     fix = [i for i in range(degree) if all(k.img[i] == i for k in K.gens)]
     kgens = K.gens
@@ -423,8 +413,8 @@ def fixpoint_transitivity_check(G, K, alpha=0) -> VerificationReport:
         h for h in big.elements
         if all((h * k) * h.inv() in kset for k in kgens)
     ]
-    side_transitive = set(orbit([alpha], [h.img for h in normalizer])) == set(fix)
-    stab = [h for h in big.elements if h.img[alpha] == alpha]
+    side_transitive = set(orbit([0], [h.img for h in normalizer])) == set(fix)
+    stab = [h for h in big.elements if h.img[0] == 0]
     k_sorted = kset
     conj_in_stab_G = set()
     stab_set = set(stab)

@@ -60,15 +60,12 @@ def build_tower(H: FiniteGroup, r: int) -> TowerDecomposition:
         if i < r:
             images = dict.fromkeys(x.project(1) for x in current.elements)
             nxt = FiniteGroup._from_elements(
-                list(images), [g.project(1) for g in current.gens], cap=H.cap, name=f"L{i + 1}"
-            )
+                list(images), [g.project(1) for g in current.gens], cap=H.cap)
             check_homomorphism(current, lambda x: x.project(1))
             kernel_elems = [
                 x for x in current.elements if all(p.is_identity() for p in x.parts[1:])
             ]
-            kernels.append(
-                FiniteGroup._from_elements(kernel_elems, [], cap=H.cap, name=f"T{i}")
-            )
+            kernels.append(FiniteGroup._from_elements(kernel_elems, [], cap=H.cap))
             if current.order != kernels[-1].order * nxt.order:
                 raise RuntimeError("projection tower sizes do not telescope")
             current = nxt
@@ -230,7 +227,7 @@ class _InstanceSampler:
         if style == 1:
             # random subgroup of the product, capped
             gens = [self.rng.choice(H.elements) for _ in range(self.rng.choice((2, 3)))]
-            sub = H.subgroup(gens, name="sampled")
+            sub = H.subgroup(gens)
             return f"sub:{name}", sub, r
         # diagonal-with-tail: diagonal copy inside G x G, possibly twisted
         base_name = self.rng.choice(self.names)

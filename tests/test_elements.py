@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +71,54 @@ def test_matrix_extension_field():
     assert m.order() == F.q - 1 == 8
     assert m.is_scalar() is False
     assert Mat.from_rows(F, [[g, 0], [0, g]]).is_scalar()
+
+
+def leibniz_det(F, n, vals):
+    """sum over permutations s of sign(s) * prod_i m[i][s(i)], by field ops."""
+    det = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i in range(n):
+            term = F.mul_code(term, vals[i * n + perm[i]])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        det = F.add_code(det, F.neg_code(term) if inversions % 2 else term)
+    return det
+
+
+def sample_matrices(F, n, rng, count):
+    """Random n x n code tuples, each followed by a singular variant whose
+    last row is a combination of the others."""
+    for _ in range(count):
+        vals = [rng.randrange(F.q) for _ in range(n * n)]
+        yield tuple(vals)
+        last = [0] * n
+        for i in range(n - 1):
+            c = rng.randrange(F.q)
+            last = [F.add_code(x, F.mul_code(c, y)) for x, y in zip(last, vals[i * n:(i + 1) * n])]
+        yield tuple(vals[:-n] + last)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p, a", [(7, 1), (3, 2), (3, 3)])
+def test_det_and_inv_match_leibniz_and_identity(n, p, a):
+    F = field_make(p, a)
+    ident = Mat.identity_of(F, n)
+    rng = random.Random(n * 100 + F.q)
+    singular = 0
+    for vals in sample_matrices(F, n, rng, 40):
+        expected = leibniz_det(F, n, vals)
+        M = Mat(F, n, vals, _checked=True)
+        assert M.det() == expected
+        if expected == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                Mat(F, n, vals)
+            with pytest.raises(ZeroDivisionError):
+                M.inv()
+        else:
+            assert Mat(F, n, vals) == M
+            assert M * M.inv() == ident == M.inv() * M
+    assert singular >= 40
 
 
 def test_direct_tuple_componentwise():

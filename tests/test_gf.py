@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,6 +113,20 @@ def test_field_axioms_gf343(x, y, z):
     assert add(x, F.neg_code(x)) == 0
     if x != 0:
         assert mul(x, F.inv_code(x)) == 1
+
+
+@pytest.mark.parametrize("p, a", [(7, 1), (3, 2)])
+def test_dot_matches_add_mul_fold(p, a):
+    F = field_make(p, a)
+    rng = random.Random(F.q)
+    for length in range(5):
+        for _ in range(50):
+            u = [rng.randrange(F.q) for _ in range(length)]
+            v = [rng.randrange(F.q) for _ in range(length)]
+            acc = 0
+            for x, y in zip(u, v):
+                acc = F.add_code(acc, F.mul_code(x, y))
+            assert F.dot(u, v) == acc
 
 
 def test_inv_roundtrip_larger_field():

@@ -7,6 +7,7 @@ from tworank.errors import ResourceLimitError
 from tworank.gf import field_make
 from tworank.matgroup import (
     _census,
+    _twist_kernel_basis,
     CENSUS_CSV_HEADER,
     RowCodec,
     borel_subgroup,
@@ -121,6 +122,39 @@ def test_sylow2_gl2_q13_diagonal_wreath():
     assert desc.group.order == 32
     assert desc.census_total == 7
     assert desc.construction == "DiagonalWreath"
+
+
+def diag2(F, x, y):
+    return Mat.from_rows(F, [[x, 0], [0, y]])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda F: (singer_element(gl_context(2, 7)), singer_element(gl_context(2, 7)) ** 7),
+        lambda F: (Mat.from_rows(F, [[1, 1], [0, 1]]),) * 2,
+        lambda F: (diag2(F, 2, 2),) * 2,
+        lambda F: (diag2(F, 2, 3), diag2(F, 3, 2)),
+        lambda F: (diag2(F, 2, 3), diag2(F, 4, 5)),
+    ],
+)
+def test_twist_kernel_basis_spans_brute_force_solutions(pair):
+    # oracle: every one of the 7^4 2x2 matrices X, tested for X s = t X
+    from itertools import product
+
+    F = field_make(7)
+    s, t = pair(F)
+    basis = _twist_kernel_basis(F, s, t)
+    span = set()
+    for combo in product(range(F.q), repeat=len(basis)):
+        span.add(tuple(sum(u * b[k] for u, b in zip(combo, basis)) % 7 for k in range(4)))
+    assert len(span) == F.q ** len(basis)
+    solutions = set()
+    for vals in product(range(F.q), repeat=4):
+        X = Mat(F, 2, vals, _checked=True)
+        if X * s == t * X:
+            solutions.add(vals)
+    assert span == solutions
 
 
 def test_involution_census_endpoint():

@@ -176,7 +176,7 @@ def test_singer_normalizer_group_structure():
 
 def test_fixpoint_transitivity_baer_instance():
     SN = singer_normalizer_group(pg2(9))
-    stab = SN.point_stabilizer(0)
+    stab = SN.point_stabilizer()
     assert stab.order == 6
     k2 = closure([next(h for h in stab.elements if h.order() == 2)])
     r = fixpoint_transitivity_check(SN, k2)

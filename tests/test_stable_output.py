@@ -19,6 +19,8 @@ DIGESTS = [
     ("verify fixtrans", "116f2e6ab2e8399c62416b7ef3b863aa1337daf64c6633313c626f0796291262"),
     ("verify counting --q 9", "e66c6d8f237c1a79ef1679060a03f6330d687b09eb27df5a38bfc4ef607019e8"),
     ("census sylow2 --n 4 --q 7", "01f17dab7348f8965d355a5665f41a37c047865f7af764122bc36e2a954f12fd"),
+    # det, inv and the twist kernel over an extension field with a > 2
+    ("census sylow2 --n 2 --q 27", "077f25b93bb8c4c595abdfc9f4b5dbcf0760e0f6161cf1e77c84a2639cd92b75"),
     ("plane build --q 9", "ddc403a5970136d5ebb39349208e52dea6bd70a5582c1a5bac992dd418643413"),
     ("plane build --q 25", "026a2248e0054f530a486fba4bb27e6170f36086c8c85d13b6276f077cdd9d23"),
     ("verify lemma-a --n 2 --q 7 --mode exhaustive",
