@@ -247,7 +247,7 @@ def _torus_inverting_element(field, a, q, target_square):
     raise RuntimeError("no torus-inverting element of order 4 found")
 
 
-def sylow2_gl2(q: int) -> SylowTwoDescriptor:
+def sylow2_gl2(q: int, cap=None) -> SylowTwoDescriptor:
     """Sylow 2-subgroup of GL_2(q) for q = 3 mod 4, from the explicit
     two-generator construction; order 4*(q+1)_2."""
     if q % 4 != 3:
@@ -258,7 +258,7 @@ def sylow2_gl2(q: int) -> SylowTwoDescriptor:
     t2 = part_pow(q + 1, 2)
     central = a**t2  # the unique involution of the torus 2-part: -identity
     b = _torus_inverting_element(field, a, q, central)
-    group = code_closure(ctx, [a, b])
+    group = code_closure(ctx, [a, b], cap)
     relations = {
         "a_order": a.order(),
         "b_order": b.order(),
@@ -291,7 +291,7 @@ def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
     if q % 2 == 0:
         raise ValueError(f"expected odd q, got {q}")
     if n == 2 and q % 4 == 3:
-        return sylow2_gl2(q)
+        return sylow2_gl2(q, cap)
     ctx = gl_context_q(n, q)
     field = ctx.field
     if q % 4 == 3 and n == 1:
@@ -346,6 +346,17 @@ def _statement_conditions(statement, n, q):
     raise ValueError(f"unknown statement {statement}")
 
 
+def census_bound(n: int, q: int, census: int):
+    """(bound, within) for an involution census of a Sylow 2-subgroup of
+    GL_n(q): at most q + 2 in the 2x2 torus case q = 3 mod 4 (statement 3),
+    below the geometric sum 1 + q + ... + q^(n-1) otherwise (statements 2,
+    4 and 5)."""
+    if n == 2 and q % 4 == 3:
+        return q + 2, census <= q + 2
+    bound = geom_sum(q, n)
+    return bound, census < bound
+
+
 def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> VerificationReport:
     """Check one of the five Sylow-2 size/census bounds for GL_n(q)."""
     params = {"statement": statement, "n": n, "q": q}
@@ -386,18 +397,19 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
                     "crude_wreath_bound": crude,
                 }
             )
-            ok = desc.census_total < bound and formula == desc.census_total
+            ok = census_bound(n, q, desc.census_total)[1] and formula == desc.census_total
             witness = {"involutions": desc.census_total, "bound": bound}
         elif statement == 3:
             desc = sylow2_gl2(q)
             rel = desc.presentation
+            total_bound, within = census_bound(n, q, desc.census_total)
             counts.update(
                 {
                     "sylow2_order": desc.group.order,
                     "involutions": desc.census_total,
                     "central_involutions": desc.census_central,
                     "non_central": desc.census_total - desc.census_central,
-                    "total_bound": q + 2,
+                    "total_bound": total_bound,
                     "non_central_bound": q + 1,
                 }
             )
@@ -410,7 +422,7 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
             counts["relations_ok"] = int(relations_ok)
             params["conjugation_relation"] = "b^-1*a*b = a^q"
             ok = (
-                desc.census_total <= q + 2
+                within
                 and desc.census_total - desc.census_central <= q + 1
                 and relations_ok
             )
@@ -424,7 +436,7 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
                     "central_involutions": desc.census_central,
                 }
             )
-            ok = desc.census_total < bound
+            ok = census_bound(n, q, desc.census_total)[1]
             witness = {"involutions": desc.census_total, "bound": bound}
     except ResourceLimitError as exc:
         return check.skipped(exc)
@@ -732,14 +744,7 @@ CENSUS_CSV_HEADER = "n,q,construction,order,involutions,central,bound,verdict"
 
 def census_csv_row(desc: SylowTwoDescriptor) -> str:
     n, q = desc.context.n, desc.context.q
-    # the applicable census bound: q+2 in the 2x2 torus case, the
-    # geometric sum otherwise
-    if n == 2 and q % 4 == 3:
-        bound = q + 2
-        within = desc.census_total <= bound
-    else:
-        bound = geom_sum(q, n)
-        within = desc.census_total < bound
+    bound, within = census_bound(n, q, desc.census_total)
     verdict = "within-bound" if within else "exceeds-bound"
     return (
         f"{n},{q},{desc.construction},"

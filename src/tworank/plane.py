@@ -24,12 +24,11 @@ from .report import VERIFIED, Check, VerificationReport
 PLANE_EXHAUSTIVE_AXIOM_CAP = 16
 DEFAULT_CLASS_CAP = 500_000
 DEFAULT_GROUP_CAP = 200_000
-# odd_transitive_search: the cap of each pair closure, the number of random
-# words drawn and of pairs tried, the seed, and 2 to 11 letters per word
+# odd_transitive_search: the cap of each pair closure, the number of pairs
+# tried, and the seed that draws them
 SEARCH_CLOSURE_CAP = 100_000
 SEARCH_CANDIDATES = 1000
 SEARCH_SEED = 0
-RANDOM_WORD_LENGTH = 12
 
 
 class IncidencePlane:
@@ -446,7 +445,8 @@ def odd_transitive_search(G: PlaneGroup):
     Order of attack: G itself if odd; cyclic subgroups generated by single
     odd-order elements (a full-length cycle suffices); then closures of
     small odd-order generator pairs, each closure capped at
-    SEARCH_CLOSURE_CAP elements.  Returns (witness FiniteGroup or None,
+    SEARCH_CLOSURE_CAP elements.  A G that does not close under its cap
+    gives a skipped-resource report.  Returns (witness FiniteGroup or None,
     VerificationReport).
     """
     import random as _random
@@ -459,16 +459,12 @@ def odd_transitive_search(G: PlaneGroup):
         return None, check.not_applicable(reason_transitive=0)
     try:
         big = G.materialize()
-        universe = list(big.elements)
-    except ResourceLimitError:
-        universe = None
-    if universe is not None and big.order % 2 == 1:
+    except ResourceLimitError as exc:
+        return None, check.skipped(exc)
+    if big.order % 2 == 1:
         return big, check.report(VERIFIED, {"witness_order": big.order, "mode": 0})
     # single elements: an odd-order element with one full cycle
-    candidates = universe if universe is not None else [
-        _random_word(G, rng) for _ in range(SEARCH_CANDIDATES)
-    ]
-    for h in candidates:
+    for h in big.elements:
         d = h.order()
         if d % 2 == 1 and d >= n_pts:
             cyc = h.cycles()
@@ -478,7 +474,7 @@ def odd_transitive_search(G: PlaneGroup):
                     VERIFIED, {"witness_order": witness.order, "mode": 1}
                 )
     # small odd-order generator sets
-    odd_pool = [h for h in candidates if h.order() % 2 == 1 and not h.is_identity()]
+    odd_pool = [h for h in big.elements if h.order() % 2 == 1 and not h.is_identity()]
     for _ in range(min(SEARCH_CANDIDATES, len(odd_pool) ** 2 if odd_pool else 0)):
         pair = [rng.choice(odd_pool), rng.choice(odd_pool)]
         try:
@@ -488,10 +484,3 @@ def odd_transitive_search(G: PlaneGroup):
         if sub.order % 2 == 1 and is_transitive(sub):
             return sub, check.report(VERIFIED, {"witness_order": sub.order, "mode": 2})
     return None, check.not_applicable(exhausted=1)
-
-
-def _random_word(G: PlaneGroup, rng):
-    w = G.identity
-    for _ in range(rng.randrange(2, RANDOM_WORD_LENGTH)):
-        w = w * rng.choice(G.gens)
-    return w

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -9,7 +10,7 @@ import pytest
 
 from tworank import constructions as lib
 from tworank import report
-from tworank.cli import run
+from tworank.cli import COMMANDS, run
 from tworank.groups import closure
 from tworank.lemma_a import lemma_a_campaign, sn_bound_check
 from tworank.matgroup import verify_sylowtwoingln
@@ -159,6 +160,8 @@ def test_cli_report_merge(tmp_path, capsys):
 
 def test_cli_usage_errors():
     assert run(["frobnicate"]) == 3
+    assert run(["verify"]) == 3  # a missing subcommand, in every group
+    assert run(["census"]) == 3
     assert run(["verify", "sylow2", "--n", "2"]) == 3  # missing --q
     assert run(["verify", "fixtrans", "--q", "25"]) == 3  # fixtrans takes no --q
     assert run(["verify", "fixtrans", "--q", "9"]) == 3
@@ -177,8 +180,50 @@ def test_cli_usage_errors():
         "verify lemma-a --n 2 --q 7 --mode random --trials 5 --cap 0",
         "verify lemma-a --n 2 --q 7 --mode random --trials 5 --cap -3",
         "verify sylow2 --n 2 --q 7 --cap 0",
+        # exports render json and csv only
+        "plane build --q 3 --format md",
+        "census sylow2 --n 2 --q 7 --format md",
     ):
         assert run(argv.split()) == 3, argv
+
+
+# a cheap input for every subcommand; report merge reads the file the test
+# writes in place of {reports}
+CHEAP_ARGS = {
+    "verify sylow2": "--n 2 --q 7 --statement 3",
+    "verify tower": "--seed 1 --trials 5",
+    "verify counting": "--q 9",
+    "verify fixtrans": "",
+    "verify lemma-a": "--n 2 --q 7 --mode random --seed 1 --trials 5",
+    "verify sn-bounds": "",
+    "verify quaternion": "",
+    "census sylow2": "--n 2 --q 7",
+    "plane build": "--q 3",
+    "report merge": "{reports}",
+}
+FORMAT_RUNS = [(command, fmt) for command, (_, formats, _) in COMMANDS.items() for fmt in formats]
+
+
+@pytest.mark.parametrize("command, fmt", FORMAT_RUNS, ids=[f"{c} {f}" for c, f in FORMAT_RUNS])
+def test_cli_renders_each_declared_format(command, fmt, tmp_path, capsys):
+    reports = tmp_path / "reports.ndjson"
+    with open(reports, "w") as fh:
+        dump_reports([make(VERIFIED), make(NOT_APPLICABLE)], fh)
+    argv = f"{command} {CHEAP_ARGS[command]}".format(reports=reports).split()
+    assert run(argv + ["--format", fmt, "--stable-output"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    if fmt == "json":
+        assert all(isinstance(json.loads(line), dict) for line in lines)
+    elif fmt == "csv":
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(lines[0])
+        rows = list(csv.reader(lines))
+        assert len({len(row) for row in rows}) == 1 and len(rows[0]) > 1
+        if command != "plane build":  # the incidence matrix has no header
+            assert not any(field.isdigit() for field in rows[0])
+    else:
+        assert all(line.startswith("|") for line in lines) and lines[1] == "|---|---|---|"
 
 
 def test_cli_markdown_format(capsys):
@@ -197,6 +242,26 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert '"verdict": "verified"' in proc.stdout
+
+
+def test_cli_census_cap_in_gl2_torus_case(capsys):
+    # n = 2, q = 3 mod 4: the Sylow 2-subgroup of order 32 closes over --cap 3
+    code = run(["census", "sylow2", "--n", "2", "--q", "7", "--cap", "3", "--stable-output"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert json.loads(line)["verdict"] == SKIPPED
+
+
+def test_cli_import_loads_no_engine_module():
+    """Importing the CLI, as the benchmark's set-up time does, loads only
+    the modules it needs to parse arguments and write reports."""
+    probe = ("import json, sys, tworank.cli; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tworank'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(proc.stdout) == [
+        "tworank", "tworank.cli", "tworank.errors", "tworank.report",
+    ]
 
 
 def test_cli_resource_cap_exit_code(capsys):
@@ -327,6 +392,10 @@ def _tower_all_odd():
                      id="odd-transitive-intransitive"),
         pytest.param(_counting_membership_over_cap, SKIPPED, id="counting-membership-over-cap"),
         pytest.param(_fixtrans_over_cap, SKIPPED, id="fixtrans-over-cap"),
+        pytest.param(
+            lambda: odd_transitive_search(
+                PlaneGroup(pg2(3), gl3_collineation_generators(pg2(3)), cap=10))[1],
+            SKIPPED, id="odd-transitive-over-cap"),
         pytest.param(lambda: verify_sylowtwoingln(1, 2, 7), NOT_APPLICABLE,
                      id="sylow2-side-conditions"),
         pytest.param(lambda: verify_oddnormal(S3, S3, S3.identity), NOT_APPLICABLE,

@@ -21,6 +21,11 @@ DIGESTS = [
     ("census sylow2 --n 4 --q 7", "01f17dab7348f8965d355a5665f41a37c047865f7af764122bc36e2a954f12fd"),
     # det, inv and the twist kernel over an extension field with a > 2
     ("census sylow2 --n 2 --q 27", "077f25b93bb8c4c595abdfc9f4b5dbcf0760e0f6161cf1e77c84a2639cd92b75"),
+    # the census bound in both cases: q + 2 inclusive, the geometric sum strict
+    ("census sylow2 --n 2 --q 7 --format csv",
+     "b439b457d55a2454fffa2e872a1ea754e05165800e4411229df2f306ee435733"),
+    ("census sylow2 --n 4 --q 7 --format csv",
+     "8bce468b4ad48db7b5a39d933b3eaf22824b8dfffabd459d647b439fdb2d5613"),
     ("plane build --q 9", "ddc403a5970136d5ebb39349208e52dea6bd70a5582c1a5bac992dd418643413"),
     ("plane build --q 25", "026a2248e0054f530a486fba4bb27e6170f36086c8c85d13b6276f077cdd9d23"),
     ("verify lemma-a --n 2 --q 7 --mode exhaustive",
