@@ -16,7 +16,6 @@ from .elements import Perm
 from .groups import FiniteGroup, closure
 from .matgroup import GLContext, _twist_elements, singer_element
 from .plane import (
-    Collineation,
     PlaneGroup,
     counting_identity_check,
     counting_instance,
@@ -24,6 +23,7 @@ from .plane import (
     fixpoint_transitivity_check,
     odd_transitive_search,
     pg2,
+    point_stabilizer,
 )
 from .report import Check
 
@@ -51,15 +51,14 @@ def singer_normalizer_group(plane):
     the Singer collineation and a semilinear element cubing it."""
     F = plane.field
     smat = singer_element(GLContext(3, F))
-    s = Collineation.from_matrix(plane, smat)
+    s = plane.collineation(smat)
     twisted = smat.frobenius_entrywise()
     target = smat**3
     A = next(iter(_twist_elements(F, twisted, target)), None)
     if A is None:
         raise RuntimeError("no semilinear Singer-normalizing element found")
-    nu = Collineation.from_matrix(plane, A, frob_power=1)
-    conj = (nu.point_perm * s.point_perm) * nu.point_perm.inv()
-    if conj != s.point_perm**3:
+    nu = plane.collineation(A, frob_power=1)
+    if (nu * s) * nu.inv() != s**3:
         raise RuntimeError("normalizer element does not cube the Singer cycle")
     G = PlaneGroup(plane, [s, nu], cap=5000)
     if G.order != 546:
@@ -69,7 +68,7 @@ def singer_normalizer_group(plane):
 
 def _stabilizer_subgroups(G):
     """Subgroups of the stabilizer of point 0 keyed by order (cyclic pieces)."""
-    stab = G.point_stabilizer()
+    stab = point_stabilizer(G)
     out = {}
     for h in stab.elements:
         d = h.order()
@@ -195,7 +194,7 @@ def counting_battery(q=9):
     G, fr = counting_instance(pg2(q))
     reports = [counting_identity_check(G, fr)]
     check = Check("baer-fixed-structure", {"q": q})
-    fs = fixed_structure(fr)
+    fs = fixed_structure(G.plane, fr)
     u = isqrt(q)
     ok = (
         fs.num_points == u * u + u + 1

@@ -292,8 +292,9 @@ def build_parser():
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit:
-        return USAGE_ERROR
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code == 0 else USAGE_ERROR
     if args.handler is None:
         args.group.print_help(sys.stderr)
         return USAGE_ERROR

@@ -109,10 +109,14 @@ class FiniteGroup:
         """Whether self is a normal subgroup of `other` (both materialized)."""
         if not self.is_subgroup_of(other):
             return False
+        return all(self.normalized_by(h) for h in other.gens)
+
+    def normalized_by(self, h):
+        """Whether h g h^-1 lies in the group for every generator g, i.e.
+        whether h normalizes it; h need not lie in the group."""
         sset = self.element_set
-        return all(
-            (h * s) * h.inv() in sset for h in other.gens for s in self.gens
-        )
+        hinv = h.inv()
+        return all((h * s) * hinv in sset for s in self.gens)
 
     def centralizer_order(self, g):
         """|C(g)|: how many elements of the group commute with g; g need
@@ -160,11 +164,10 @@ class FiniteGroup:
 
     def _climbing_element(self, P, p):
         pset = P.element_set
-        pgens = P.gens
         for h in self.elements:
             if h in pset:
                 continue
-            if all((h * s) * h.inv() in pset for s in pgens):
+            if P.normalized_by(h):
                 d = h.order()
                 if d % p == 0:
                     z = h ** (d // part_pow(d, p))

@@ -3,11 +3,13 @@ counting checks.
 
 Planes are the Desarguesian PG(2, q): points are canonical projective
 triples over GF(q) (first nonzero coordinate 1), lines the dual triples,
-incidence the zero dot product.  A collineation group is a PlaneGroup:
-the FiniteGroup of its generators' point permutations (matrix-induced maps
-plus field automorphisms), closed lazily under a cap like any FiniteGroup.
-Conjugacy classes and point orbits run straight off the generators, so
-point-transitive groups far above the element cap can still be checked.
+incidence the zero dot product.  A collineation is the Perm it induces on
+points; IncidencePlane.collineation builds it from a semilinear map and
+checks that it preserves incidence.  A collineation group is a PlaneGroup:
+the FiniteGroup of those point permutations, closed lazily under a cap like
+any FiniteGroup.  Conjugacy classes and point orbits run straight off the
+generators, so point-transitive groups far above the element cap can still
+be checked.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import field_make
 from .groups import FiniteGroup, closure, is_transitive
-from .orbit import conjugation, orbit
+from .orbit import Action, conjugation, orbit
 from .partarith import prime_power_decompose
 from .report import VERIFIED, Check, VerificationReport
 
@@ -108,11 +110,28 @@ class IncidencePlane:
                 return tuple(F.mul_code(inv, x) for x in vec)
         raise ValueError("zero vector does not define a point")
 
-    def line_perm_from_point_perm(self, point_perm):
+    def collineation(self, mat, frob_power=0):
+        """The point permutation of the semilinear map
+        v -> M * v^(p^frob_power); raises if it breaks incidence."""
+        F = self.field
+        if mat.field is not F or mat.n != 3:
+            raise ValueError("matrix must be 3x3 over the plane's field")
+        img = []
+        rows, dot = mat.rows(), F.dot
+        for pt in self.points:
+            v = pt
+            for _ in range(frob_power % F.a):
+                v = tuple(F.frob_code(c) for c in v)
+            img.append(self.point_index[self.normalize([dot(row, v) for row in rows])])
+        perm = Perm(img)
+        self.line_perm_from_point_perm(perm)
+        return perm
+
+    def line_perm_from_point_perm(self, perm):
         """The induced line permutation; raises if incidence is broken."""
         img = [0] * len(self.lines)
         for li, pts in enumerate(self.points_on_line):
-            mapped = frozenset(point_perm.img[p] for p in pts)
+            mapped = frozenset(perm.img[p] for p in pts)
             target = self.line_index_by_set.get(mapped)
             if target is None:
                 raise ValueError("point permutation does not preserve incidence")
@@ -139,55 +158,13 @@ def pg2(q: int) -> IncidencePlane:
     return IncidencePlane(field_make(p, a))
 
 
-class Collineation:
-    """A line-preserving point permutation of a plane."""
-
-    def __init__(self, plane, point_perm):
-        self.plane = plane
-        self.point_perm = point_perm
-        self.line_perm = plane.line_perm_from_point_perm(point_perm)
-
-    @classmethod
-    def from_matrix(cls, plane, mat, frob_power=0):
-        """The semilinear map v -> M * v^(p^frob_power) on canonical points."""
-        F = plane.field
-        if mat.field is not F or mat.n != 3:
-            raise ValueError("matrix must be 3x3 over the plane's field")
-        img = []
-        rows, dot = mat.rows(), F.dot
-        for pt in plane.points:
-            v = pt
-            for _ in range(frob_power % F.a):
-                v = tuple(F.frob_code(c) for c in v)
-            img.append(plane.point_index[plane.normalize([dot(row, v) for row in rows])])
-        return cls(plane, Perm(img))
-
-    def fixed_points(self):
-        return tuple(i for i, j in enumerate(self.point_perm.img) if i == j)
-
-    def fixed_lines(self):
-        return tuple(i for i, j in enumerate(self.line_perm.img) if i == j)
-
-    def order(self):
-        return self.point_perm.order()
-
-    def __eq__(self, other):
-        return isinstance(other, Collineation) and self.plane is other.plane and self.point_perm == other.point_perm
-
-    def __hash__(self):
-        return hash(("coll", id(self.plane), self.point_perm.img))
-
-    def __repr__(self):
-        return f"Collineation({self.point_perm!r})"
-
-
-def frobenius_collineation(plane: IncidencePlane) -> Collineation:
+def frobenius_collineation(plane: IncidencePlane) -> Perm:
     """The coordinatewise u-th power map on PG(2, u^2); an involution whose
     fixed points form a subplane of order u."""
     F = plane.field
     if F.a % 2:
         raise ValueError(f"plane order {plane.order} is not a square")
-    return Collineation.from_matrix(plane, Mat.identity_of(F, 3), F.a // 2)
+    return plane.collineation(Mat.identity_of(F, 3), F.a // 2)
 
 
 @dataclass
@@ -235,10 +212,13 @@ def _subplane_order(plane, point_set):
     return u
 
 
-def fixed_structure(g: Collineation) -> FixedStructure:
-    plane = g.plane
-    fp = g.fixed_points()
-    fl = g.fixed_lines()
+def _fixed(perm):
+    return [i for i, j in enumerate(perm.img) if i == j]
+
+
+def fixed_structure(plane: IncidencePlane, g: Perm) -> FixedStructure:
+    fp = _fixed(g)
+    fl = _fixed(plane.line_perm_from_point_perm(g))
     sub = _subplane_order(plane, fp)
     x = plane.order
     u = isqrt(x)
@@ -266,8 +246,8 @@ class PlaneGroup(FiniteGroup):
     element set is closed only when a check needs it, under `cap`.
     """
 
-    def __init__(self, plane, collineations, cap=DEFAULT_GROUP_CAP):
-        super().__init__([c.point_perm for c in collineations], cap=cap)
+    def __init__(self, plane, perms, cap=DEFAULT_GROUP_CAP):
+        super().__init__(perms, cap=cap)
         self.plane = plane
 
     def conj_class_of(self, perm):
@@ -275,22 +255,24 @@ class PlaneGroup(FiniteGroup):
         at DEFAULT_CLASS_CAP; does not require materializing the group."""
         return tuple(orbit([perm], conjugation(self.gens), DEFAULT_CLASS_CAP))
 
-    def point_stabilizer(self):
-        """The stabilizer of the base point 0."""
-        elems = [g for g in self.elements if g.img[0] == 0]
-        return FiniteGroup._from_elements(elems, [], cap=self.cap)
+
+def point_stabilizer(G):
+    """G_0, the stabilizer of the base point 0 in the permutation group G."""
+    elems = [g for g in G.elements if g.img[0] == 0]
+    return FiniteGroup._from_elements(elems, [], cap=G.cap)
 
 
 def gl3_collineation_generators(plane: IncidencePlane):
-    """Collineations generating the full linear group action on the plane:
-    a torus generator, a transvection, and a coordinate 3-cycle."""
+    """The point permutations of three matrices generating the full linear
+    group action on the plane: a torus generator, a transvection, and a
+    coordinate 3-cycle."""
     F = plane.field
     mats = [
         Mat.from_rows(F, [[F.generator, 0, 0], [0, 1, 0], [0, 0, 1]]),
         Mat.from_rows(F, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
         Mat.from_rows(F, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
     ]
-    return [Collineation.from_matrix(plane, m) for m in mats]
+    return [plane.collineation(m) for m in mats]
 
 
 def counting_instance(plane: IncidencePlane):
@@ -314,7 +296,7 @@ def baer_prime_condition(u: int) -> dict:
     }
 
 
-def counting_identity_check(G: PlaneGroup, g: Collineation) -> VerificationReport:
+def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
     """For a point-transitive G on a plane of square order u^2 in which all
     conjugates of the involution g fix u^2+u+1 points:
     |g^G| / |g^G n G_alpha| must equal u^2-u+1 exactly.
@@ -324,7 +306,6 @@ def counting_identity_check(G: PlaneGroup, g: Collineation) -> VerificationRepor
     """
     plane = G.plane
     check = Check("plane-counting", {"q": plane.order})
-    g = g.point_perm
     x = plane.order
     u = isqrt(x)
     if u * u != x or u < 2:
@@ -384,13 +365,27 @@ def counting_identity_check(G: PlaneGroup, g: Collineation) -> VerificationRepor
     return check.result(ok, counts, {"counts": counts})
 
 
+def _conjugate_set(S, pair):
+    h, hinv = pair
+    return frozenset((h * s) * hinv for s in S)
+
+
+def _subgroup_conjugates(K, gens):
+    """The conjugates of K's element set under the group generated by
+    `gens`: its orbit under setwise conjugation."""
+    maps = [Action(_conjugate_set, (h, h.inv())) for h in gens]
+    return orbit([K.element_set], maps)
+
+
 def fixpoint_transitivity_check(G, K) -> VerificationReport:
     """Equivalence check: N_G(K) is transitive on Fix(K) if and only if
     every G-conjugate of K inside G_alpha is already a G_alpha-conjugate,
     for the base point alpha = 0.
 
-    G is any permutation FiniteGroup, a PlaneGroup included; both sides are
-    computed exhaustively.
+    G is any permutation FiniteGroup, a PlaneGroup included.  Both sides
+    are exact: the conjugates of K are orbits of K under setwise
+    conjugation by the generators of G and of G_0, and N_G(K) is checked
+    against them by orbit-stabilizer.
     """
     params = {}
     check = Check("fix-transitivity", params)
@@ -401,31 +396,19 @@ def fixpoint_transitivity_check(G, K) -> VerificationReport:
     degree = len(big.identity.img)
     params["G_order"] = big.order
     params["K_order"] = K.order
-    kset = K.element_set
-    if not kset <= big.element_set:
+    if not K.element_set <= big.element_set:
         raise ValueError("K must be a subgroup of G")
     if any(k.img[0] != 0 for k in K.gens):
         raise ValueError("K must fix the base point")
     fix = [i for i in range(degree) if all(k.img[i] == i for k in K.gens)]
-    kgens = K.gens
-    normalizer = [
-        h for h in big.elements
-        if all((h * k) * h.inv() in kset for k in kgens)
-    ]
+    normalizer = [h for h in big.elements if K.normalized_by(h)]
     side_transitive = set(orbit([0], [h.img for h in normalizer])) == set(fix)
-    stab = [h for h in big.elements if h.img[0] == 0]
-    k_sorted = kset
-    conj_in_stab_G = set()
-    stab_set = set(stab)
-    for h in big.elements:
-        hinv = h.inv()
-        image = frozenset((h * k) * hinv for k in k_sorted)
-        if image <= stab_set:
-            conj_in_stab_G.add(image)
-    conj_in_stab_H = set()
-    for h in stab:
-        hinv = h.inv()
-        conj_in_stab_H.add(frozenset((h * k) * hinv for k in k_sorted))
+    stab = point_stabilizer(big)
+    conj_G = _subgroup_conjugates(K, big.gens)
+    if len(normalizer) * len(conj_G) != big.order:
+        raise RuntimeError("|N_G(K)| * |K^G| is not |G|")
+    conj_in_stab_G = {S for S in conj_G if S <= stab.element_set}
+    conj_in_stab_H = set(_subgroup_conjugates(K, stab.gens))
     side_fusion = conj_in_stab_G == conj_in_stab_H
     counts = {
         "fix_size": len(fix),

@@ -4,8 +4,9 @@ No verifier calls these.  Each one is the simplest exhaustive route to an
 answer the engine reaches another way, or a fixture the engine does not
 need: the 2-rank by growing elementary abelian subgroups, every subgroup
 of a small ambient with no conjugacy shortcut, the lemma-a check on a
-FiniteGroup of Mat elements, the Singer collineation of PG(2, q), and the
-tower identities' indices from centralizers and the quotient group.
+FiniteGroup of Mat elements, the Singer collineation of PG(2, q), the
+tower identities' indices from centralizers and the quotient group, and
+the fixed-point transitivity counts from scans over every element of G.
 """
 
 from collections import deque
@@ -14,7 +15,6 @@ from tworank.errors import ResourceLimitError
 from tworank.lemma_a import _verdict
 from tworank.matgroup import GLContext, singer_element
 from tworank.orbit import orbit
-from tworank.plane import Collineation
 
 ORACLE_AMBIENT_CAP = 500
 
@@ -102,11 +102,38 @@ def singer_collineation(plane):
     """A collineation of order q^2+q+1 acting regularly on points: induced
     by the Singer element of GL_3(q), the companion matrix of the first
     primitive cubic over GF(q)."""
-    coll = Collineation.from_matrix(plane, singer_element(GLContext(3, plane.field)))
+    coll = plane.collineation(singer_element(GLContext(3, plane.field)))
     q = plane.order
     if coll.order() != q * q + q + 1:
         raise RuntimeError("Singer point order is off")
     return coll
+
+
+def fixtrans_counts(G, K):
+    """The six counts of plane.fixpoint_transitivity_check, by scanning G:
+    the normalizer element by element, and the conjugates of K inside G_0
+    as the sets h K h^-1 for every h in G and for every h in G_0."""
+    kset = K.element_set
+    degree = len(G.identity.img)
+    fix = [i for i in range(degree) if all(k.img[i] == i for k in K.gens)]
+    normalizer = [h for h in G.elements if all((h * k) * h.inv() in kset for k in kset)]
+    transitive = set(orbit([0], [h.img for h in normalizer])) == set(fix)
+    stab = [h for h in G.elements if h.img[0] == 0]
+    stab_set = set(stab)
+
+    def conjugates(hs):
+        return {frozenset((h * k) * h.inv() for k in kset) for h in hs}
+
+    in_stab_G = {S for S in conjugates(G.elements) if S <= stab_set}
+    in_stab_H = conjugates(stab)
+    return {
+        "fix_size": len(fix),
+        "normalizer_order": len(normalizer),
+        "normalizer_transitive_on_fix": int(transitive),
+        "conjugates_in_stabilizer_G": len(in_stab_G),
+        "conjugates_in_stabilizer_H": len(in_stab_H),
+        "fusion_equal": int(in_stab_G == in_stab_H),
+    }
 
 
 def _exact(total, part):

@@ -6,23 +6,32 @@ subgroup enumeration filtered by normality and against the element-level
 join enumeration it replaced, the commuting-involution
 2-rank search against a subgroup-lattice scan, quotient projections
 against elementwise multiplication, the tower identities' class counts
-against centralizer and quotient-group indices, and the wreath involution
-formula against direct enumeration in a second regime.
+against centralizer and quotient-group indices, the fixed-point
+transitivity check's conjugate orbits against scans of G, and the wreath
+involution formula against direct enumeration in a second regime.
 """
 
 import random
 
 import pytest
 
+from tworank import acceptance_instances
 from tworank import constructions as lib
 from tworank import tower
 from tworank.dense import DenseGroup
 from tworank.groups import FiniteGroup, closure
 from tworank.lemma_a import lemma_a_campaign
 from tworank.matgroup import sylow2_gl, wreath_involution_count
+from tworank.plane import fixpoint_transitivity_check, pg2, point_stabilizer
 from tworank.tower import random_identity_campaign
 
-from oracles import all_subgroups_oracle, centralizer_index, quotient_index, two_rank
+from oracles import (
+    all_subgroups_oracle,
+    centralizer_index,
+    fixtrans_counts,
+    quotient_index,
+    two_rank,
+)
 
 
 AMBIENTS = [
@@ -214,6 +223,47 @@ def test_identity_indices_match_oracles_on_campaign(monkeypatch, seed, trials):
             assert rep.counts["lhs"] == centralizer_index(tw.H, g)
             applicable += 1
     assert all(calls.values()) and applicable
+
+
+def test_fixtrans_counts_match_scan_oracle_on_battery(monkeypatch):
+    """Every (G, K) the fixtrans battery checks: the six counts agree with
+    the scans over G."""
+    seen = []
+
+    def record(G, K):
+        rep = fixpoint_transitivity_check(G, K)
+        seen.append((G, K, rep))
+        return rep
+
+    monkeypatch.setattr(acceptance_instances, "fixpoint_transitivity_check", record)
+    acceptance_instances.fixtrans_battery()
+    monkeypatch.undo()
+    assert len(seen) >= 10
+    for G, K, rep in seen:
+        assert rep.counts == fixtrans_counts(G, K)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: acceptance_instances.psl2_moebius(7),
+        lambda: lib.symmetric(5),
+        lambda: acceptance_instances.singer_normalizer_group(pg2(9)),
+    ],
+    ids=["psl2-7-moebius", "s5-natural", "pg9-singer-normalizer"],
+)
+def test_fixtrans_counts_match_scan_oracle_on_cyclic_stabilizer_subgroups(build):
+    """Every cyclic K <= G_0."""
+    G = build()
+    cyclics = {}
+    for h in point_stabilizer(G).elements:
+        K = closure([h])
+        cyclics.setdefault(K.element_set, K)
+    assert len(cyclics) > 2
+    for K in cyclics.values():
+        rep = fixpoint_transitivity_check(G, K)
+        assert rep.verdict == "verified"
+        assert rep.counts == fixtrans_counts(G, K)
 
 
 def test_wreath_census_formula_second_regime():

@@ -10,7 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tworank"
 
-# Waits for its verifier subcommand (ROADMAP item 5); nothing calls it yet.
+# Waits for its verifier subcommand (ROADMAP item 3); nothing calls it yet.
+# Wiring it into `verify counting` would print two reports where the
+# benchmark's plane check unpacks exactly one (`(rep,) = reports` in
+# perfbench/workloads.py), so it lands together with a benchmark change.
 ALLOWED_UNREFERENCED = {"acceptance_instances.counting_battery"}
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")

@@ -5,7 +5,6 @@ from tworank.elements import Mat, Perm
 from tworank.groups import closure, is_transitive
 from tworank.matgroup import GLContext, singer_element
 from tworank.plane import (
-    Collineation,
     PlaneGroup,
     counting_identity_check,
     counting_instance,
@@ -15,6 +14,7 @@ from tworank.plane import (
     gl3_collineation_generators,
     odd_transitive_search,
     pg2,
+    point_stabilizer,
 )
 
 from oracles import singer_collineation
@@ -57,14 +57,14 @@ def test_collineation_requires_incidence_preservation():
     # an arbitrary transposition of two points is almost never a collineation
     bad = Perm.from_cycles(13, (0, 1))
     with pytest.raises(ValueError):
-        Collineation(P, bad)
+        P.line_perm_from_point_perm(bad)
 
 
 def test_frobenius_collineation_pg9():
     P = pg2(9)
     fr = frobenius_collineation(P)
-    assert (fr.point_perm * fr.point_perm).is_identity()
-    fs = fixed_structure(fr)
+    assert (fr * fr).is_identity()
+    fs = fixed_structure(P, fr)
     assert fs.num_points == 13
     assert fs.num_lines == 13
     assert fs.subplane_order == 3
@@ -74,7 +74,7 @@ def test_frobenius_collineation_pg9():
 def test_frobenius_collineation_pg49():
     P = pg2(49)
     fr = frobenius_collineation(P)
-    assert len(fr.fixed_points()) == 57  # 7^2 + 7 + 1
+    assert sum(i == j for i, j in enumerate(fr.img)) == 57  # 7^2 + 7 + 1
 
 
 def test_frobenius_rejects_nonsquare():
@@ -85,10 +85,8 @@ def test_frobenius_rejects_nonsquare():
 def test_homology_fixed_structure():
     P = pg2(9)
     F = P.field
-    hom = Collineation.from_matrix(
-        P, Mat.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, F.neg_code(1)]])
-    )
-    fs = fixed_structure(hom)
+    hom = P.collineation(Mat.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, F.neg_code(1)]]))
+    fs = fixed_structure(P, hom)
     # a homology fixes a line pointwise plus its center: 10 + 1 points
     assert fs.num_points == 11
     assert fs.subplane_order is None
@@ -97,8 +95,7 @@ def test_homology_fixed_structure():
 
 def test_identity_fixed_structure():
     P = pg2(9)
-    ident = Collineation(P, Perm.identity_of(91))
-    fs = fixed_structure(ident)
+    fs = fixed_structure(P, Perm.identity_of(91))
     assert fs.num_points == 91 and fs.spectrum == "other"
 
 
@@ -126,9 +123,7 @@ def test_counting_identity_not_applicable_cases():
     gens = gl3_collineation_generators(P7)
     G = PlaneGroup(P7, gens)
     F = P7.field
-    hom = Collineation.from_matrix(
-        P7, Mat.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, F.neg_code(1)]])
-    )
+    hom = P7.collineation(Mat.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, F.neg_code(1)]]))
     r = counting_identity_check(G, hom)
     assert r.verdict == "not-applicable"
     # intransitive group on PG(2,9)
@@ -143,7 +138,7 @@ def test_singer_collineation():
     P = pg2(9)
     s = singer_collineation(P)
     assert s.order() == 91
-    assert len(s.point_perm.cycles()) == 1
+    assert len(s.cycles()) == 1
 
 
 @pytest.mark.parametrize(
@@ -161,7 +156,7 @@ def test_singer_matrix_pinned(q, rows):
     P = pg2(q)
     s = singer_element(GLContext(3, P.field))
     assert s.rows() == rows
-    assert singer_collineation(P) == Collineation.from_matrix(P, s)
+    assert singer_collineation(P) == P.collineation(s)
 
 
 def test_singer_normalizer_group_structure():
@@ -170,13 +165,13 @@ def test_singer_normalizer_group_structure():
     assert is_transitive(SN)
     invs = SN.involutions()
     assert invs
-    fs = fixed_structure(Collineation(SN.plane, invs[0]))
+    fs = fixed_structure(SN.plane, invs[0])
     assert fs.num_points == 13 and fs.subplane_order == 3
 
 
 def test_fixpoint_transitivity_baer_instance():
     SN = singer_normalizer_group(pg2(9))
-    stab = SN.point_stabilizer()
+    stab = point_stabilizer(SN)
     assert stab.order == 6
     k2 = closure([next(h for h in stab.elements if h.order() == 2)])
     r = fixpoint_transitivity_check(SN, k2)
@@ -204,6 +199,19 @@ def test_fixpoint_transitivity_trivial_k():
     assert r.verdict == "verified"
     assert r.counts["fix_size"] == 91
     assert r.counts["normalizer_transitive_on_fix"] == 1
+
+
+def test_fixpoint_transitivity_cross_checks_normalizer(monkeypatch):
+    # a normalizer scan that finds only the identity breaks
+    # |N_G(K)| * |K^G| = |G| against the orbit of K's conjugates
+    import tworank.constructions as lib
+    from tworank.groups import FiniteGroup
+
+    s4 = lib.symmetric(4)
+    K = closure([Perm.from_cycles(4, (1, 2))])
+    monkeypatch.setattr(FiniteGroup, "normalized_by", lambda self, h: h.is_identity())
+    with pytest.raises(RuntimeError):
+        fixpoint_transitivity_check(s4, K)
 
 
 def test_fixpoint_transitivity_rejects_bad_k():

@@ -15,7 +15,6 @@ from tworank.groups import closure
 from tworank.lemma_a import lemma_a_campaign, sn_bound_check
 from tworank.matgroup import verify_sylowtwoingln
 from tworank.plane import (
-    Collineation,
     PlaneGroup,
     counting_identity_check,
     fixpoint_transitivity_check,
@@ -156,6 +155,12 @@ def test_cli_report_merge(tmp_path, capsys):
     assert code == 2  # skip present
     with open(merged) as fh:
         assert len(load_reports(fh)) == 2
+
+
+def test_cli_help_exits_zero(capsys):
+    assert run(["--help"]) == 0
+    assert run(["verify", "--help"]) == 0
+    assert "fixtrans" in capsys.readouterr().out
 
 
 def test_cli_usage_errors():
@@ -342,8 +347,9 @@ def test_elapsed_ms_on_odd_transitive_report(ticking_clock):
 
 
 def _intransitive_pg9():
-    fr = frobenius_collineation(pg2(9))
-    return PlaneGroup(fr.plane, [fr]), fr
+    P = pg2(9)
+    fr = frobenius_collineation(P)
+    return PlaneGroup(P, [fr]), fr
 
 
 def _counting_membership_over_cap():
@@ -352,11 +358,10 @@ def _counting_membership_over_cap():
     P = pg2(9)
     fr = frobenius_collineation(P)
     G = PlaneGroup(P, gl3_collineation_generators(P) + [fr], cap=10)
-    f = fr.point_perm
-    t = next(g for g in G.gens if g * f != f * g)
-    h = (t * f) * t.inv()
+    t = next(g for g in G.gens if g * fr != fr * g)
+    h = (t * fr) * t.inv()
     assert h not in G.gens
-    return counting_identity_check(G, Collineation(P, h))
+    return counting_identity_check(G, h)
 
 
 def _fixtrans_over_cap():
