@@ -233,7 +233,7 @@ COMMANDS = {
          _arg("--statement", type=int, choices=(1, 2, 3, 4, 5), default=None,
               help="default: every statement whose side conditions match"),
          _arg("--cap", type=positive_int, default=None,
-              help="element cap of the Sylow 2-subgroup closures (statements 2, 4, 5)")],
+              help="element cap of the Sylow 2-subgroup closures (statements 2-5)")],
         REPORT_FORMATS, _verify_sylow2,
     ),
     "verify tower": (

@@ -170,4 +170,4 @@ class DenseGroup:
 
         elems = [self.elems[i] for i in idxs]
         gens = [self.elems[i] for i in gen_idxs]
-        return FiniteGroup._from_elements(elems, gens, cap=self.group.cap)
+        return FiniteGroup._from_elements(elems, gens)

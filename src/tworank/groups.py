@@ -51,9 +51,9 @@ class FiniteGroup:
         self._element_set = None
 
     @classmethod
-    def _from_elements(cls, elements, generators, cap=DEFAULT_ELEMENT_CAP):
+    def _from_elements(cls, elements, generators):
         """Wrap an already-closed element collection (internal use)."""
-        group = cls(list(generators) or list(elements), cap=cap)
+        group = cls(list(generators) or list(elements))
         elements = list(elements)
         if not any(e.is_identity() for e in elements):
             elements.insert(0, group.identity)
@@ -99,9 +99,6 @@ class FiniteGroup:
 
     # -- basic queries -------------------------------------------------------
 
-    def subgroup(self, generators):
-        return FiniteGroup(list(generators), cap=self.cap).materialize()
-
     def is_subgroup_of(self, other):
         return self.element_set <= other.element_set
 
@@ -146,7 +143,7 @@ class FiniteGroup:
         """A Sylow p-subgroup found by greedy normalizer climbing."""
         target = part_pow(self.order, p)
         if target == 1:
-            return FiniteGroup._from_elements([self.identity], [], cap=self.cap)
+            return FiniteGroup._from_elements([self.identity], [])
         seed = None
         for g in self.elements:
             d = g.order()
@@ -154,10 +151,10 @@ class FiniteGroup:
                 nonp = d // part_pow(d, p)
                 seed = g**nonp
                 break
-        P = self.subgroup([seed])
+        P = closure([seed])
         while P.order < target:
             z = self._climbing_element(P, p)
-            P = self.subgroup(list(P.gens) + [z])
+            P = closure(list(P.gens) + [z])
         if P.order != target:
             raise RuntimeError("Sylow climb overshot the target order")
         return P
@@ -255,9 +252,9 @@ class FiniteGroup:
         keyed.sort(key=lambda t: t[0])
         return [D.subgroup_from_indices(idxs, gens) for _, idxs, gens in keyed]
 
-    def odd_core(self, enum_cap=DEFAULT_NORMAL_ENUM_CAP):
+    def odd_core(self):
         """O(H): the largest normal subgroup of odd order."""
-        odd = [n for n in self.normal_subgroups(enum_cap) if n.order % 2 == 1]
+        odd = [n for n in self.normal_subgroups() if n.order % 2 == 1]
         best = max(odd, key=lambda n: n.order)
         for n in odd:
             if not n.element_set <= best.element_set:
@@ -306,8 +303,7 @@ class FiniteGroup:
             return Perm(coset_of[h * reps[i]] for i in range(k))
 
         q_order = self.order // N.order
-        quo = FiniteGroup([project(g) for g in self.gens], cap=self.cap)
-        quo.materialize()
+        quo = closure([project(g) for g in self.gens])
         if quo.order != q_order:
             raise RuntimeError(f"coset action has order {quo.order}, expected {q_order}")
         check_homomorphism(self, project)
@@ -412,7 +408,7 @@ def classify_quaternion_structure(G):
             z = invs[0]
             central = all(z * g == g * z for g in gbar.gens)
             if central and len(gbar.involutions()) == 1:
-                Z = gbar.subgroup([z])
+                Z = closure([z])
                 simple_part, _ = gbar.quotient(Z)
                 if simple_part.order == 2520 and len(simple_part.normal_subgroups(6000)) == 2:
                     return "ZA7", {"order": m, "odd_core": core.order}

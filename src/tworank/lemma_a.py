@@ -138,13 +138,7 @@ class SubgroupLattice:
         for i in range(n):
             if i == D.id_idx:
                 continue
-            row = D.rrow(i)
-            cyc = [D.id_idx]
-            x = row[D.id_idx]
-            while x != D.id_idx:
-                cyc.append(x)
-                x = row[x]
-            cid = self._register(cyc, (i,))
+            cid = self._register(D.close([], [i]), (i,))
             if cid is not None:
                 worklist.append(cid)
         head = 0
@@ -344,13 +338,14 @@ def random_stream_campaign(
         emit(gen_codes, codes)
 
     structured = []
-    try:
-        structured.append(sylow2_gl(ctx.n, ctx.q).group)
-    except (ResourceLimitError, RuntimeError):
-        stats.truncated += 1
-    for builder in (borel_subgroup, monomial_subgroup, singer_normalizer):
+    for build in (
+        lambda: sylow2_gl(ctx.n, ctx.q).group,
+        lambda: borel_subgroup(ctx),
+        lambda: monomial_subgroup(ctx),
+        lambda: singer_normalizer(ctx),
+    ):
         try:
-            structured.append(builder(ctx, cap=250_000))
+            structured.append(build())
         except ResourceLimitError:
             stats.truncated += 1
     if ambient_fits:

@@ -1,20 +1,22 @@
 """GL_n(q) machinery: exact order arithmetic, constructive Sylow 2-subgroups
 and involution censuses.
 
-For odd q the Sylow 2-subgroups are built explicitly:
+For odd q one builder, sylow2_gl, makes the Sylow 2-subgroups by the block
+construction of Carter and Fong (J. Algebra 1, 1964):
 
-* n = 2, q = 3 mod 4: generated by the 2-power part `a` of a torus element
-  (companion matrix of an irreducible quadratic whose root has full 2-part
-  order) together with a torus-inverting element `b` of order 4 satisfying
-  b^2 = a^{(q+1)_2} and b a b^{-1} = a^q.  The result has order 4*(q+1)_2.
-* even n, q = 3 mod 4: block copies of the 2x2 group wreathed by a Sylow
-  2-subgroup of the symmetric group permuting the 2x2 blocks.
-* odd n, q = 3 mod 4: the (n-1)-construction times a -1 scalar on the last
-  coordinate.
+* q = 3 mod 4: k = n // 2 copies of the 2x2 group on diagonal blocks,
+  wreathed by a Sylow 2-subgroup of S_k permuting the blocks.  The 2x2
+  group is generated by the 2-power part `a` of a torus element (companion
+  matrix of an irreducible quadratic whose root has full 2-part order) and
+  a torus-inverting element `b` of order 4 with b^2 = a^{(q+1)_2} and
+  b a b^{-1} = a^q; it has order 4*(q+1)_2.  For n = 2 the one block is the
+  whole group, and for odd n a -1 on the last coordinate is added.
 * q = 1 mod 4: the 2-part of the diagonal torus wreathed by a Sylow
   2-subgroup of S_n.
 
-Every construction is checked on the spot against the exact order formula
+The group is closed once on RowCodec codes and censused there: involutions
+are found on codes, and only they are decoded to test for scalars.  Every
+construction is checked on the spot against the exact order formula
 |GL_n(q)|_2 = prod (q^i - 1)_2.
 """
 
@@ -247,61 +249,47 @@ def _torus_inverting_element(field, a, q, target_square):
     raise RuntimeError("no torus-inverting element of order 4 found")
 
 
-def sylow2_gl2(q: int, cap=None) -> SylowTwoDescriptor:
-    """Sylow 2-subgroup of GL_2(q) for q = 3 mod 4, from the explicit
-    two-generator construction; order 4*(q+1)_2."""
-    if q % 4 != 3:
-        raise ValueError(f"construction requires q = 3 mod 4, got {q}")
-    ctx = gl_context_q(2, q)
-    field = ctx.field
+def _presentation4q1(field, q):
+    """(a, b, relations) of the Sylow 2-subgroup of GL_2(q), q = 3 mod 4:
+    a is the 2-part of a torus generator and b an order-4 element with
+    b^2 = a^{(q+1)_2} and b^-1 a b = a^q.  Nothing is closed."""
     a, quadratic = _torus_two_part_generator(field, q)
     t2 = part_pow(q + 1, 2)
     central = a**t2  # the unique involution of the torus 2-part: -identity
     b = _torus_inverting_element(field, a, q, central)
-    group = code_closure(ctx, [a, b], cap)
     relations = {
         "a_order": a.order(),
         "b_order": b.order(),
         "a^(2(q+1)_2)=1": (a ** (2 * t2)).is_identity(),
         "b^4=1": (b**4).is_identity(),
-        "a^((q+1)_2)=b^2": a**t2 == b * b,
+        "a^((q+1)_2)=b^2": central == b * b,
         "b^-1*a*b=a^q": (b.inv() * a) * b == a**q,
         "quadratic": quadratic,
     }
-    total, central_count = _census(group)
-    return SylowTwoDescriptor(
-        context=ctx,
-        construction="Presentation4q1",
-        generators=[a, b],
-        group=group,
-        census_total=total,
-        census_central=central_count,
-        presentation=relations,
-    )
-
-
-def _census(group):
-    """(involutions, central involutions) of group."""
-    invs = group.involutions()
-    return len(invs), sum(1 for g in invs if g.is_scalar())
+    return a, b, relations
 
 
 def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
-    """Sylow 2-subgroup of GL_n(q) for odd q, by the block constructions."""
+    """Sylow 2-subgroup of GL_n(q) for odd q, by the block constructions,
+    closed once on RowCodec codes and censused there: involutions are
+    found on codes, and only they are decoded to test for scalars."""
     if q % 2 == 0:
         raise ValueError(f"expected odd q, got {q}")
-    if n == 2 and q % 4 == 3:
-        return sylow2_gl2(q, cap)
     ctx = gl_context_q(n, q)
     field = ctx.field
+    presentation = None
     if q % 4 == 3 and n == 1:
         gens = [Mat(field, 1, (field.neg_code(1),))]
         construction = "OddSplit"
     else:
         # copies of a Sylow 2-subgroup of GL_bsize(q) on diagonal blocks,
-        # permuted by a Sylow 2-subgroup of S_k on the k blocks
+        # permuted by a Sylow 2-subgroup of S_k on the k blocks; for n = 2,
+        # q = 3 mod 4 there is one block and no permutation
         if q % 4 == 3:
-            bsize, block_gens, construction = 2, sylow2_gl2(q).generators, "WreathEven"
+            a, b, relations = _presentation4q1(field, q)
+            bsize, block_gens, construction = 2, [a, b], "WreathEven"
+            if n == 2:
+                presentation, construction = relations, "Presentation4q1"
         else:
             zeta = field.pow_code(field.generator, (q - 1) // part_pow(q - 1, 2))
             bsize, block_gens, construction = 1, [Mat(field, 1, (zeta,))], "DiagonalWreath"
@@ -313,15 +301,17 @@ def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
         if bsize == 2 and n % 2 == 1:
             gens.append(identity_with(field, n, {(n - 1, n - 1): field.neg_code(1)}))
             construction = "OddSplit"
-    group = code_closure(ctx, gens, cap)
-    total, central = _census(group)
+    codec = RowCodec(field, n)
+    gen_codes, codes = codec.closure(gens, DEFAULT_ELEMENT_CAP if cap is None else cap)
+    invs = [codec.decode(x) for x in codes if codec.is_involution(x)]
     return SylowTwoDescriptor(
         context=ctx,
         construction=construction,
         generators=gens,
-        group=group,
-        census_total=total,
-        census_central=central,
+        group=codec.group(gen_codes, codes),
+        census_total=len(invs),
+        census_central=sum(1 for g in invs if g.is_scalar()),
+        presentation=presentation,
     )
 
 
@@ -383,61 +373,37 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
             counts["sylow2_order"] = size
             ok = size < bound
             witness = {"sylow2_order": size, "bound": bound}
-        elif statement == 2:
+        else:  # statements 2-5: the census of one constructed Sylow 2-subgroup
             desc = sylow2_gl(n, q, cap=cap)
-            base = sylow2_gl2(q)
+            total = desc.census_total
+            counts.update(
+                {
+                    "sylow2_order": desc.group.order,
+                    "involutions": total,
+                    "central_involutions": desc.census_central,
+                }
+            )
+            total_bound, ok = census_bound(n, q, total)
+            witness = {"involutions": total, "bound": bound}
+        if statement == 2:
+            base = sylow2_gl(2, q)
             formula = wreath_involution_count(base.census_total, base.group.order)
-            crude = 2 * (base.census_total + 1) ** 2
-            counts.update(
-                {
-                    "sylow2_order": desc.group.order,
-                    "involutions": desc.census_total,
-                    "central_involutions": desc.census_central,
-                    "wreath_formula": formula,
-                    "crude_wreath_bound": crude,
-                }
-            )
-            ok = census_bound(n, q, desc.census_total)[1] and formula == desc.census_total
-            witness = {"involutions": desc.census_total, "bound": bound}
+            counts["wreath_formula"] = formula
+            counts["crude_wreath_bound"] = 2 * (base.census_total + 1) ** 2
+            ok = ok and formula == total
         elif statement == 3:
-            desc = sylow2_gl2(q)
             rel = desc.presentation
-            total_bound, within = census_bound(n, q, desc.census_total)
-            counts.update(
-                {
-                    "sylow2_order": desc.group.order,
-                    "involutions": desc.census_total,
-                    "central_involutions": desc.census_central,
-                    "non_central": desc.census_total - desc.census_central,
-                    "total_bound": total_bound,
-                    "non_central_bound": q + 1,
-                }
-            )
-            relations_ok = (
-                rel["a^(2(q+1)_2)=1"]
-                and rel["b^4=1"]
-                and rel["a^((q+1)_2)=b^2"]
-                and rel["b^-1*a*b=a^q"]
+            non_central = total - desc.census_central
+            counts["non_central"] = non_central
+            counts["total_bound"] = total_bound
+            counts["non_central_bound"] = q + 1
+            relations_ok = all(
+                rel[k] for k in ("a^(2(q+1)_2)=1", "b^4=1", "a^((q+1)_2)=b^2", "b^-1*a*b=a^q")
             )
             counts["relations_ok"] = int(relations_ok)
             params["conjugation_relation"] = "b^-1*a*b = a^q"
-            ok = (
-                within
-                and desc.census_total - desc.census_central <= q + 1
-                and relations_ok
-            )
-            witness = {"census": desc.census_total}
-        else:  # statements 4 and 5: census against the geometric-sum bound
-            desc = sylow2_gl(n, q, cap=cap)
-            counts.update(
-                {
-                    "sylow2_order": desc.group.order,
-                    "involutions": desc.census_total,
-                    "central_involutions": desc.census_central,
-                }
-            )
-            ok = census_bound(n, q, desc.census_total)[1]
-            witness = {"involutions": desc.census_total, "bound": bound}
+            ok = ok and non_central <= q + 1 and relations_ok
+            witness = {"census": total}
     except ResourceLimitError as exc:
         return check.skipped(exc)
     return check.result(ok, counts, witness)
@@ -558,19 +524,18 @@ class RowCodec:
         codes = self.generator_codes(gens)
         return codes, orbit([self.identity], [self.row_map(g) for g in codes], cap)
 
-    def group(self, gen_codes, codes, cap) -> FiniteGroup:
+    def group(self, gen_codes, codes) -> FiniteGroup:
         """The FiniteGroup whose generators and elements (in this order)
         have the given codes."""
         decode = self.decode
-        return FiniteGroup._from_elements(map(decode, codes), map(decode, gen_codes), cap=cap)
+        return FiniteGroup._from_elements(map(decode, codes), map(decode, gen_codes))
 
 
-def code_closure(ctx: GLContext, gens, cap=None) -> FiniteGroup:
+def code_closure(ctx: GLContext, gens, cap) -> FiniteGroup:
     """closure(gens, cap) run on RowCodec codes: the same group with its
     elements in the same order, one Mat built per element."""
     codec = RowCodec(ctx.field, ctx.n)
-    cap = DEFAULT_ELEMENT_CAP if cap is None else cap
-    return codec.group(*codec.closure(gens, cap), cap)
+    return codec.group(*codec.closure(gens, cap))
 
 
 # The most elements the GL_2(p) certificate walks before it leaves the
@@ -629,6 +594,9 @@ def certifies_gl2p(codec: RowCodec, gen_codes) -> bool:
 
 # -- structured subgroups used by the sampled bound campaigns ----------------
 
+# The element cap of the Borel, monomial and Singer-normalizer closures.
+STRUCTURED_CAP = 250_000
+
 
 def gl_generators(ctx: GLContext):
     """Generators of GL_n(q): a torus element, the two 2x2-block
@@ -642,20 +610,20 @@ def gl_generators(ctx: GLContext):
     return gens
 
 
-def borel_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
+def borel_subgroup(ctx: GLContext) -> FiniteGroup:
     """Upper-triangular invertible matrices: diagonal torus generators plus
     the superdiagonal transvections."""
     field, n = ctx.field, ctx.n
     gens = [identity_with(field, n, {(i, i): field.generator}) for i in range(n)]
     gens += [identity_with(field, n, {(i, i + 1): 1}) for i in range(n - 1)]
-    group = code_closure(ctx, gens, cap)
+    group = code_closure(ctx, gens, STRUCTURED_CAP)
     expected = field.q ** (n * (n - 1) // 2) * (field.q - 1) ** n
     if group.order != expected:
         raise RuntimeError(f"Borel subgroup has order {group.order}, expected {expected}")
     return group
 
 
-def monomial_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
+def monomial_subgroup(ctx: GLContext) -> FiniteGroup:
     """Monomial matrices: the diagonal torus extended by the permutation
     matrices of S_n."""
     field, n = ctx.field, ctx.n
@@ -663,7 +631,7 @@ def monomial_subgroup(ctx: GLContext, cap=None) -> FiniteGroup:
     if n > 1:
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, (0, 1)), 1))
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, tuple(range(n))), 1))
-    return code_closure(ctx, gens, cap)
+    return code_closure(ctx, gens, STRUCTURED_CAP)
 
 
 def singer_element(ctx: GLContext) -> Mat:
@@ -717,7 +685,7 @@ def _has_root(field, c):
     return False
 
 
-def singer_normalizer(ctx: GLContext, cap=None) -> FiniteGroup:
+def singer_normalizer(ctx: GLContext) -> FiniteGroup:
     """The Singer torus extended by a twist conjugating it to its q-th
     power; order n (q^n - 1)."""
     s = singer_element(ctx)
@@ -725,7 +693,7 @@ def singer_normalizer(ctx: GLContext, cap=None) -> FiniteGroup:
     twist = next(iter(_twist_elements(field, s, s**field.q)), None)
     if twist is None:
         raise RuntimeError("no invertible Singer twist found")
-    return code_closure(ctx, [s, twist], cap)
+    return code_closure(ctx, [s, twist], STRUCTURED_CAP)
 
 
 def random_invertible(ctx: GLContext, rng) -> Mat:

@@ -259,7 +259,7 @@ class PlaneGroup(FiniteGroup):
 def point_stabilizer(G):
     """G_0, the stabilizer of the base point 0 in the permutation group G."""
     elems = [g for g in G.elements if g.img[0] == 0]
-    return FiniteGroup._from_elements(elems, [], cap=G.cap)
+    return FiniteGroup._from_elements(elems, [])
 
 
 def gl3_collineation_generators(plane: IncidencePlane):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import constructions as lib
 from .elements import DirectTuple
-from .groups import FiniteGroup, check_homomorphism
+from .groups import FiniteGroup, check_homomorphism, closure
 from .report import VIOLATED, Check, VerificationReport
 
 
@@ -59,13 +59,12 @@ def build_tower(H: FiniteGroup, r: int) -> TowerDecomposition:
         levels.append(current)
         if i < r:
             images = dict.fromkeys(x.project(1) for x in current.elements)
-            nxt = FiniteGroup._from_elements(
-                list(images), [g.project(1) for g in current.gens], cap=H.cap)
+            nxt = FiniteGroup._from_elements(list(images), [g.project(1) for g in current.gens])
             check_homomorphism(current, lambda x: x.project(1))
             kernel_elems = [
                 x for x in current.elements if all(p.is_identity() for p in x.parts[1:])
             ]
-            kernels.append(FiniteGroup._from_elements(kernel_elems, [], cap=H.cap))
+            kernels.append(FiniteGroup._from_elements(kernel_elems, []))
             if current.order != kernels[-1].order * nxt.order:
                 raise RuntimeError("projection tower sizes do not telescope")
             current = nxt
@@ -227,7 +226,7 @@ class _InstanceSampler:
         if style == 1:
             # random subgroup of the product, capped
             gens = [self.rng.choice(H.elements) for _ in range(self.rng.choice((2, 3)))]
-            sub = H.subgroup(gens)
+            sub = closure(gens)
             return f"sub:{name}", sub, r
         # diagonal-with-tail: diagonal copy inside G x G, possibly twisted
         base_name = self.rng.choice(self.names)

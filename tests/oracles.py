@@ -2,7 +2,8 @@
 
 No verifier calls these.  Each one is the simplest exhaustive route to an
 answer the engine reaches another way, or a fixture the engine does not
-need: the 2-rank by growing elementary abelian subgroups, every subgroup
+need: the involution census of a Sylow 2-subgroup by squaring every Mat,
+the 2-rank by growing elementary abelian subgroups, every subgroup
 of a small ambient with no conjugacy shortcut, the lemma-a check on a
 FiniteGroup of Mat elements, the Singer collineation of PG(2, q), the
 tower identities' indices from centralizers and the quotient group, and
@@ -17,6 +18,14 @@ from tworank.matgroup import GLContext, singer_element
 from tworank.orbit import orbit
 
 ORACLE_AMBIENT_CAP = 500
+
+
+def involution_census(group):
+    """(involutions, central involutions) of a FiniteGroup of Mat elements,
+    by squaring every element as a Mat.  Checked against the census
+    matgroup.sylow2_gl takes on row codes."""
+    invs = group.involutions()
+    return len(invs), sum(1 for g in invs if g.is_scalar())
 
 
 def two_rank(H):

@@ -14,7 +14,6 @@ from tworank import constructions as lib
 from tworank.groups import classify_quaternion_structure, is_generalized_quaternion
 from tworank.matgroup import (
     sylow2_gl,
-    sylow2_gl2,
     verify_sylowtwoingln,
     wreath_involution_count,
 )
@@ -39,7 +38,7 @@ class Criterion:
 
 def test_criterion_01_sylow2_gl2_7():
     c = Criterion(1, 1.0)
-    desc = sylow2_gl2(7)
+    desc = sylow2_gl(2, 7)
     assert desc.group.order == 32
     assert desc.census_total == 9
     c.done("Sylow-2 of GL_2(7): order 32, 9 involutions")
@@ -47,7 +46,7 @@ def test_criterion_01_sylow2_gl2_7():
 
 def test_criterion_02_sylow2_gl2_31():
     c = Criterion(2, 5.0)
-    desc = sylow2_gl2(31)
+    desc = sylow2_gl(2, 31)
     assert desc.group.order == 128
     assert desc.census_total == 33
     assert desc.census_central == 1
@@ -185,7 +184,7 @@ def test_criterion_12_two_rank_characterization():
         lib.dihedral(8), lib.dihedral(16), lib.dihedral(32),
         lib.generalized_quaternion(8), lib.generalized_quaternion(16),
         lib.generalized_quaternion(32),
-        sylow2_gl2(7).group,                  # semidihedral of order 32
+        sylow2_gl(2, 7).group,                  # semidihedral of order 32
         lib.elementary_abelian_two(3),        # V_4 x C_2
         lib.sl2(7).sylow_two(),
     ]

@@ -25,9 +25,9 @@ def test_closure_s3():
 def test_closure_single_matrix_cyclic():
     # a matrix of order 16 generates a cyclic group of 16 elements; the
     # order oracle is repeated squaring
-    from tworank.matgroup import sylow2_gl2
+    from tworank.matgroup import sylow2_gl
 
-    a = sylow2_gl2(7).generators[0]
+    a = sylow2_gl(2, 7).generators[0]
     assert (a**16).is_identity() and not (a**8).is_identity()
     G = closure([a])
     assert G.order == 16 and G.is_cyclic()
@@ -189,13 +189,13 @@ def test_quotient_rejects_non_normal():
 
 def test_two_rank_family():
     # rank 1 exactly for cyclic and generalized quaternion members
-    from tworank.matgroup import sylow2_gl2
+    from tworank.matgroup import sylow2_gl
 
     cases = [
         (lib.cyclic(2), 1), (lib.cyclic(8), 1), (lib.cyclic(16), 1),
         (lib.dihedral(8), 2), (lib.dihedral(16), 2),
         (lib.generalized_quaternion(8), 1), (lib.generalized_quaternion(16), 1),
-        (sylow2_gl2(7).group, 2),          # semidihedral of order 32
+        (sylow2_gl(2, 7).group, 2),          # semidihedral of order 32
         (lib.elementary_abelian_two(3), 3),  # V_4 x C_2
         (lib.sl2(7).sylow_two(), 1),
         (lib.wreath_c2_c2(), 2),

@@ -15,7 +15,7 @@ from tworank.lemma_a import (
     random_stream_campaign,
     sn_bound_check,
 )
-from tworank.matgroup import RowCodec, certifies_gl2p, gl_context_q, gl_generators, sylow2_gl2
+from tworank.matgroup import RowCodec, certifies_gl2p, gl_context_q, gl_generators, sylow2_gl
 
 from oracles import all_subgroups_oracle, lemma_a_check
 
@@ -95,7 +95,7 @@ def test_lemma_a_check_gl27_instances():
 
     assert heart_coprime(56, 7) == 1
 
-    syl = sylow2_gl2(7).group
+    syl = sylow2_gl(2, 7).group
     v = lemma_a_check(syl, ctx)
     assert v.verdict == "satisfied" and v.index == 1  # central involution
 
@@ -108,7 +108,7 @@ def test_lemma_a_check_gl27_instances():
 def test_lemma_a_verdict_consistent_on_conjugates():
     ctx = gl_context_q(2, 7)
     F = field_make(7)
-    base = sylow2_gl2(7).group
+    base = sylow2_gl(2, 7).group
     h = Mat.from_rows(F, [[1, 2], [0, 1]])
     conj = closure([(h * g) * h.inv() for g in base.gens])
     v1 = lemma_a_check(base, ctx)
@@ -191,6 +191,19 @@ def test_random_stream_dedup(monkeypatch, max_order):
     # when it fits under max_order
     offered = 4 + (ctx.order <= max_order) + stats.candidates
     assert stats.emitted + stats.duplicates + stats.truncated == offered
+
+
+def test_random_stream_propagates_engine_faults(monkeypatch):
+    """A RuntimeError from a structured builder is an engine fault and
+    leaves the campaign; only ResourceLimitError counts as truncated."""
+    from tworank import lemma_a
+
+    def faulty_builder(n, q, cap=None):
+        raise RuntimeError("constructed 2-group has the wrong order")
+
+    monkeypatch.setattr(lemma_a, "sylow2_gl", faulty_builder)
+    with pytest.raises(RuntimeError, match="wrong order"):
+        random_stream_campaign(gl_context_q(2, 7), seed=1, count_target=5, max_order=30000)
 
 
 def test_campaign_not_applicable_outside_hypotheses():
@@ -361,7 +374,7 @@ def test_code_check_matches_mat_oracle(monkeypatch, n, q, seed, trials):
 
     def both_checks(codec, gen_codes, codes, ctx):
         verdict = code_check(codec, gen_codes, codes, ctx)
-        H = codec.group(gen_codes, codes, len(codes))
+        H = codec.group(gen_codes, codes)
         assert verdict == lemma_a_check(H, ctx)
         compared.append(verdict)
         return verdict

@@ -6,7 +6,6 @@ from tworank.elements import Mat
 from tworank.errors import ResourceLimitError
 from tworank.gf import field_make
 from tworank.matgroup import (
-    _census,
     _twist_kernel_basis,
     CENSUS_CSV_HEADER,
     RowCodec,
@@ -22,13 +21,14 @@ from tworank.matgroup import (
     singer_element,
     singer_normalizer,
     sylow2_gl,
-    sylow2_gl2,
     sylow2_symmetric_gens,
     verify_sylowtwoingln,
     wreath_involution_count,
 )
 from tworank.groups import closure
 from tworank.partarith import gl_order_two_part, part_pow
+
+from oracles import involution_census
 
 
 def test_gl_context_orders():
@@ -54,7 +54,7 @@ def test_sylow2_symmetric_gens_orders():
 
 
 def test_sylow2_gl2_q7_census():
-    desc = sylow2_gl2(7)
+    desc = sylow2_gl(2, 7)
     assert desc.group.order == 32
     assert desc.census_total == 9
     assert desc.census_central == 1
@@ -62,14 +62,14 @@ def test_sylow2_gl2_q7_census():
 
 
 def test_sylow2_gl2_q31_census():
-    desc = sylow2_gl2(31)
+    desc = sylow2_gl(2, 31)
     assert desc.group.order == 128
     assert desc.census_total == 33
     assert desc.census_central == 1
 
 
 def test_sylow2_gl2_q19():
-    desc = sylow2_gl2(19)
+    desc = sylow2_gl(2, 19)
     # |GL_2(19)|_2 = (18)_2 (360)_2 = 2 * 8
     assert desc.group.order == gl_order_two_part(2, 19) == 16
     assert desc.census_total <= 19 + 2
@@ -78,7 +78,7 @@ def test_sylow2_gl2_q19():
 
 def test_sylow2_gl2_presentation_relations():
     for q in (7, 19, 31):
-        desc = sylow2_gl2(q)
+        desc = sylow2_gl(2, q)
         rel = desc.presentation
         t2 = part_pow(q + 1, 2)
         assert rel["a_order"] == 2 * t2
@@ -88,11 +88,36 @@ def test_sylow2_gl2_presentation_relations():
         a, b = desc.generators
         # the central involution a^{(q+1)_2} is scalar
         assert (a**t2).is_scalar()
+    # the relations belong to the 2x2 group, not to the wreath built on it
+    assert sylow2_gl(4, 7).presentation is None
 
 
-def test_sylow2_gl2_rejects_wrong_residue():
-    with pytest.raises(ValueError):
-        sylow2_gl2(13)
+@pytest.mark.parametrize("n,q", [(2, 7), (2, 13), (2, 19), (2, 27), (2, 49), (3, 7), (4, 7)])
+def test_code_census_matches_mat_oracle(n, q):
+    """The census sylow2_gl takes on row codes equals the census that
+    squares every element as a Mat, over prime and extension fields."""
+    desc = sylow2_gl(n, q)
+    assert (desc.census_total, desc.census_central) == involution_census(desc.group)
+
+
+@pytest.mark.parametrize(
+    "build, args, closures",
+    [(sylow2_gl, (4, 7), 1), (sylow2_gl, (3, 7), 1), (verify_sylowtwoingln, (2, 4, 31), 2)],
+)
+def test_each_sylow2_subgroup_is_closed_once(monkeypatch, build, args, closures):
+    """The wreath and odd-split constructions close only the whole group,
+    not their 2x2 block; statement 2 closes GL_4(31)'s group and its 2x2
+    base."""
+    calls = []
+    real = RowCodec.closure
+
+    def counting(self, gens, cap):
+        calls.append(len(gens))
+        return real(self, gens, cap)
+
+    monkeypatch.setattr(RowCodec, "closure", counting)
+    build(*args)
+    assert len(calls) == closures
 
 
 def test_sylow2_gl_orders_match_formula():
@@ -158,12 +183,12 @@ def test_twist_kernel_basis_spans_brute_force_solutions(pair):
 
 
 def test_involution_census_endpoint():
-    desc = sylow2_gl2(7)
+    desc = sylow2_gl(2, 7)
     assert (desc.census_total, desc.census_central) == (9, 1)
     F = field_make(7)
     minus_one = F.neg_code(1)
     pm = closure([Mat.from_rows(F, [[minus_one, 0], [0, minus_one]])])
-    assert _census(pm) == (1, 1)
+    assert involution_census(pm) == (1, 1)
 
 
 def test_verify_statement1():
@@ -224,7 +249,7 @@ def test_verify_handles_resource_cap():
 
 
 def test_census_csv():
-    desc = sylow2_gl2(31)
+    desc = sylow2_gl(2, 31)
     row = census_csv_row(desc)
     assert CENSUS_CSV_HEADER.split(",") == ["n", "q", "construction", "order",
                                             "involutions", "central", "bound", "verdict"]
@@ -330,7 +355,7 @@ def test_code_closure_matches_mat_closure(n, q):
         assert [codec.decode(c) for c in gen_codes] == list(H.gens)
         assert [codec.decode(c) for c in codes] == list(H.elements)
         K = code_closure(ctx, gens, cap)
-        assert K.gens == H.gens and K.elements == H.elements and K.cap == H.cap
+        assert K.gens == H.gens and K.elements == H.elements
         closed += 1
     assert closed >= 4 and capped >= 1
 

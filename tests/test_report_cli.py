@@ -257,6 +257,15 @@ def test_cli_census_cap_in_gl2_torus_case(capsys):
     assert json.loads(line)["verdict"] == SKIPPED
 
 
+def test_cli_sylow2_statement3_honours_cap(capsys):
+    # the 2x2 group of statement 3 has order 32 and closes over --cap 3
+    code = run(["verify", "sylow2", "--n", "2", "--q", "7", "--statement", "3",
+                "--cap", "3", "--stable-output"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert json.loads(line)["verdict"] == SKIPPED
+
+
 def test_cli_import_loads_no_engine_module():
     """Importing the CLI, as the benchmark's set-up time does, loads only
     the modules it needs to parse arguments and write reports."""
