@@ -141,7 +141,7 @@ def _census_sylow2(args):
         "n": args.n,
         "q": args.q,
         "construction": desc.construction,
-        "order": desc.group.order,
+        "order": desc.order,
         "involutions": desc.census_total,
         "central": desc.census_central,
     }

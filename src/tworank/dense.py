@@ -3,21 +3,22 @@
 Subgroup-lattice work (normal-subgroup enumeration, exhaustive subgroup
 streams) multiplies the same elements millions of times.  DenseGroup maps
 elements to integer indices so closures and conjugacy orbits run on plain
-ints.  Multiplication rows come from a Schreier tree over the group's own
-generators: one right and one left row per generator is built by object
-products, a breadth-first search under those rows records for every
-element j a parent p and generator s with elems[j] = elems[p] * s, and any
-other row is composed from its parent's row and the generator's row with
-integer lookups.  A conjugation row crow(j) composes lrow(j) with the
-right row of j's inverse, read off lrow(j) as the index it sends to the
-identity.  Closures and conjugacy classes are
+ints.  One breadth-first walk from the identity under right multiplication
+by the group's own generators makes one object product per element and
+generator.  It fills each generator's right row and records the Schreier
+tree: for every element x but the identity a parent p and the generator s
+that reached it, with elems[x] = elems[p] * s (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005, section 4.1).  Every other
+row is integer lookups over that tree.  A right row is composed from its
+parent's row and the generator's row.  A left row is filled in discovery
+order, since g * elems[x] = (g * elems[p]) * s.  A conjugation row crow(j)
+composes lrow(j) with the right row of j's inverse, read off lrow(j) as the
+index it sends to the identity.  Closures and conjugacy classes are
 orbit.orbit over these rows, so their inner loop is a list subscript; a
 closure stops once it passes the largest order a proper subgroup can have
 (Lagrange), since it is then the whole group.
 Rows are built lazily and cached; everything stays exact.
 """
-
-from collections import deque
 
 from .errors import ResourceLimitError
 from .orbit import orbit
@@ -28,79 +29,66 @@ class DenseGroup:
     def __init__(self, group):
         group.materialize()
         self.group = group
-        self.elems = group.elements
-        self.n = len(self.elems)
-        self.index = index = {g: i for i, g in enumerate(self.elems)}
+        self.elems = elems = group.elements
+        self.n = n = len(elems)
+        self.index = index = {g: i for i, g in enumerate(elems)}
         self.id_idx = index[group.identity]
         self.gen_idxs = tuple(index[g] for g in group.gens)
-        identity_row = list(range(self.n))
-        self._rrows = {self.id_idx: identity_row}
-        self._lrows = {self.id_idx: identity_row}
-        for j in self.gen_idxs:
-            g = self.elems[j]
-            self._rrows[j] = [index[x * g] for x in self.elems]
-            self._lrows[j] = [index[g * x] for x in self.elems]
-        self._parent, self._via = self._schreier_tree()
-        self._crows = {}
-        self._proper_max = largest_proper_divisor(self.n)
-
-    def _schreier_tree(self):
-        """BFS from the identity under the right generator rows:
-        elems[j] = elems[parent[j]] * elems[via[j]] for every j but the
-        identity.  Runs over indices, so any element order works."""
-        n = self.n
+        self._rrows = rows = {j: [-1] * n for j in self.gen_idxs}
+        rows[self.id_idx] = list(range(n))
+        self._lrows = {self.id_idx: rows[self.id_idx]}
+        gen_rows = [(elems[j], rows[j]) for j in self.gen_idxs]
         parent = [-1] * n
-        via = [-1] * n
+        via = [None] * n  # via[x]: the right row of the generator that reached x
         parent[self.id_idx] = self.id_idx
-        gen_rows = [(j, self._rrows[j]) for j in self.gen_idxs]
-        queue = deque([self.id_idx])
-        reached = 1
-        while queue:
-            x = queue.popleft()
-            for j, row in gen_rows:
-                y = row[x]
+        order = [self.id_idx]
+        for x in order:
+            ex = elems[x]
+            for g, row in gen_rows:
+                y = row[x] = index[ex * g]
                 if parent[y] < 0:
                     parent[y] = x
-                    via[y] = j
-                    reached += 1
-                    queue.append(y)
-        if reached != n:
+                    via[y] = row
+                    order.append(y)
+        if len(order) != n:
             raise RuntimeError(
-                f"generators reach {reached} of {n} elements; the group's gens "
+                f"generators reach {len(order)} of {n} elements; the group's gens "
                 "do not generate its element set"
             )
-        return parent, via
+        self._parent = parent
+        self._via = via
+        self._walk = order[1:]  # discovery order after the identity
+        self._crows = {}
+        self._proper_max = largest_proper_divisor(n)
 
     # -- lazy tables --------------------------------------------------------
 
-    def _tree_row(self, j, rows, right):
-        """Row j composed down the Schreier tree from its nearest cached
-        ancestor; every row on the way is cached too."""
+    def rrow(self, j):
+        """Right multiplication row: rrow(j)[i] = index of elems[i] * elems[j].
+        Composed down the Schreier tree from j's nearest cached ancestor;
+        every row on the way is cached too."""
+        rows, parent = self._rrows, self._parent
         path = []
-        parent = self._parent
         while j not in rows:
             path.append(j)
             j = parent[j]
         row = rows[j]
-        via = self._via
         for k in reversed(path):
-            step = rows[via[k]]
-            row = [step[x] for x in row] if right else [row[x] for x in step]
-            rows[k] = row
-        return row
-
-    def rrow(self, j):
-        """Right multiplication row: rrow(j)[i] = index of elems[i] * elems[j]."""
-        row = self._rrows.get(j)
-        if row is None:
-            row = self._tree_row(j, self._rrows, True)
+            step = self._via[k]
+            row = rows[k] = [step[x] for x in row]
         return row
 
     def lrow(self, j):
-        """Left multiplication row: lrow(j)[i] = index of elems[j] * elems[i]."""
+        """Left multiplication row: lrow(j)[i] = index of elems[j] * elems[i].
+        Filled in discovery order: lrow(j)[x] is lrow(j)[parent[x]] moved by
+        the right row of the generator that reached x."""
         row = self._lrows.get(j)
         if row is None:
-            row = self._tree_row(j, self._lrows, False)
+            row = [j] * self.n  # only the identity's entry stays j
+            parent, via = self._parent, self._via
+            for x in self._walk:
+                row[x] = via[x][row[parent[x]]]
+            self._lrows[j] = row
         return row
 
     # -- closures -----------------------------------------------------------

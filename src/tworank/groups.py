@@ -7,11 +7,14 @@ afterwards.  Everything downstream -- centralizers, conjugacy classes,
 Sylow subgroups, normal-subgroup lattices, derived subgroups, quotients --
 is exhaustive and exact; caps abort with ResourceLimitError rather than
 subsample.  Derived subgroups are closed on the integer-indexed DenseGroup
-view (dense.py), not on element objects.  Normal subgroups are int
-bitmasks over its conjugacy classes: each atom (the normal closure of one
-class) gets a step table (the classes met by C_c * g for one generator g)
-and from it the classes of each coset block C_c * B, and a join is a union
-of blocks, so no join closes elements.
+view (dense.py), not on element objects.  A DenseGroup makes its own walk
+over the generators rather than reusing the one materialize makes: most
+dense views are of groups whose element order is preset (direct products,
+subgroups taken from indices), which materialize never walks.  Normal
+subgroups are int bitmasks over its conjugacy classes: each atom (the
+normal closure of one class) gets a step table (the classes met by C_c * g
+for one generator g) and from it the classes of each coset block C_c * B,
+and a join is a union of blocks, so no join closes elements.
 """
 
 from operator import mul

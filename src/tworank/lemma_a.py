@@ -45,7 +45,6 @@ from .matgroup import (
     RowCodec,
     borel_subgroup,
     certifies_gl2p,
-    code_closure,
     gl_context_q,
     gl_generators,
     monomial_subgroup,
@@ -337,21 +336,19 @@ def random_stream_campaign(
             return
         emit(gen_codes, codes)
 
-    structured = []
-    for build in (
-        lambda: sylow2_gl(ctx.n, ctx.q).group,
-        lambda: borel_subgroup(ctx),
-        lambda: monomial_subgroup(ctx),
-        lambda: singer_normalizer(ctx),
-    ):
-        try:
-            structured.append(build())
-        except ResourceLimitError:
-            stats.truncated += 1
+    def sylow2(ctx):
+        desc = sylow2_gl(ctx.n, ctx.q)
+        return desc.gen_codes, desc.codes
+
     if ambient_fits:
         emit_closure(gl_generators(ctx), max_order + 1)
-    for grp in structured:
-        emit(codec.generator_codes(grp.gens), [codec.encode(g) for g in grp.elements])
+    for build in (sylow2, borel_subgroup, monomial_subgroup, singer_normalizer):
+        try:
+            gen_codes, codes = build(ctx)
+        except ResourceLimitError:
+            stats.truncated += 1
+            continue
+        emit(gen_codes, codes)
     # a closure past |G|/p elements is G itself (Lagrange): stop it there
     cap = min(max_order, largest_proper_divisor(ctx.order))
     max_candidates = CANDIDATES_PER_TARGET * count_target
@@ -388,9 +385,9 @@ def lemma_a_campaign(
     if not ctx.hypothesis_ok():
         return check.not_applicable(hypothesis_ok=0), []
     if mode == "exhaustive":
-        ambient_gens = gl_generators(ctx)
+        codec = RowCodec(ctx.field, ctx.n)
         try:
-            ambient = code_closure(ctx, ambient_gens, cap=LATTICE_AMBIENT_CAP + 1)
+            ambient = codec.group(*codec.closure(gl_generators(ctx), LATTICE_AMBIENT_CAP + 1))
             if ambient.order != ctx.order:
                 raise RuntimeError(
                     f"ambient closure has order {ambient.order}, expected {ctx.order}"

@@ -14,10 +14,11 @@ construction of Carter and Fong (J. Algebra 1, 1964):
 * q = 1 mod 4: the 2-part of the diagonal torus wreathed by a Sylow
   2-subgroup of S_n.
 
-The group is closed once on RowCodec codes and censused there: involutions
+The group is closed once on RowCodec codes and kept as codes: involutions
 are found on codes, and only they are decoded to test for scalars.  Every
 construction is checked on the spot against the exact order formula
-|GL_n(q)|_2 = prod (q^i - 1)_2.
+|GL_n(q)|_2 = prod (q^i - 1)_2.  The structured subgroups of the lemma-a
+stream (Borel, monomial, Singer normalizer) are codes too.
 """
 
 from dataclasses import dataclass
@@ -83,19 +84,27 @@ def gl_context_q(n: int, q: int) -> GLContext:
 
 @dataclass
 class SylowTwoDescriptor:
+    """A Sylow 2-subgroup of GL_n(q) as RowCodec codes: gen_codes and the
+    element codes in closure order."""
+
     context: GLContext
     construction: str  # Presentation4q1 | WreathEven | OddSplit | DiagonalWreath
     generators: list
-    group: FiniteGroup
+    gen_codes: list
+    codes: list
     census_total: int
     census_central: int
     presentation: dict | None = None  # for the 2x2 construction
 
+    @property
+    def order(self):
+        return len(self.codes)
+
     def __post_init__(self):
         expected = self.context.order_two_part
-        if self.group.order != expected:
+        if self.order != expected:
             raise RuntimeError(
-                f"constructed 2-group has order {self.group.order}, "
+                f"constructed 2-group has order {self.order}, "
                 f"expected |GL|_2 = {expected}"
             )
 
@@ -308,7 +317,8 @@ def sylow2_gl(n: int, q: int, cap=None) -> SylowTwoDescriptor:
         context=ctx,
         construction=construction,
         generators=gens,
-        group=codec.group(gen_codes, codes),
+        gen_codes=gen_codes,
+        codes=codes,
         census_total=len(invs),
         census_central=sum(1 for g in invs if g.is_scalar()),
         presentation=presentation,
@@ -378,7 +388,7 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
             total = desc.census_total
             counts.update(
                 {
-                    "sylow2_order": desc.group.order,
+                    "sylow2_order": desc.order,
                     "involutions": total,
                     "central_involutions": desc.census_central,
                 }
@@ -387,7 +397,7 @@ def verify_sylowtwoingln(statement: int, n: int, q: int, cap=None) -> Verificati
             witness = {"involutions": total, "bound": bound}
         if statement == 2:
             base = sylow2_gl(2, q)
-            formula = wreath_involution_count(base.census_total, base.group.order)
+            formula = wreath_involution_count(base.census_total, base.order)
             counts["wreath_formula"] = formula
             counts["crude_wreath_bound"] = 2 * (base.census_total + 1) ** 2
             ok = ok and formula == total
@@ -531,13 +541,6 @@ class RowCodec:
         return FiniteGroup._from_elements(map(decode, codes), map(decode, gen_codes))
 
 
-def code_closure(ctx: GLContext, gens, cap) -> FiniteGroup:
-    """closure(gens, cap) run on RowCodec codes: the same group with its
-    elements in the same order, one Mat built per element."""
-    codec = RowCodec(ctx.field, ctx.n)
-    return codec.group(*codec.closure(gens, cap))
-
-
 # The most elements the GL_2(p) certificate walks before it leaves the
 # candidate to its closure.  On random pairs generating GL_2(p) the first
 # usable word lies within 1000 for every p = 7 pair and 99 % of p = 13 pairs.
@@ -610,28 +613,29 @@ def gl_generators(ctx: GLContext):
     return gens
 
 
-def borel_subgroup(ctx: GLContext) -> FiniteGroup:
-    """Upper-triangular invertible matrices: diagonal torus generators plus
-    the superdiagonal transvections."""
+def borel_subgroup(ctx: GLContext):
+    """Upper-triangular invertible matrices, as (generator codes, element
+    codes): diagonal torus generators plus the superdiagonal
+    transvections."""
     field, n = ctx.field, ctx.n
     gens = [identity_with(field, n, {(i, i): field.generator}) for i in range(n)]
     gens += [identity_with(field, n, {(i, i + 1): 1}) for i in range(n - 1)]
-    group = code_closure(ctx, gens, STRUCTURED_CAP)
+    gen_codes, codes = RowCodec(field, n).closure(gens, STRUCTURED_CAP)
     expected = field.q ** (n * (n - 1) // 2) * (field.q - 1) ** n
-    if group.order != expected:
-        raise RuntimeError(f"Borel subgroup has order {group.order}, expected {expected}")
-    return group
+    if len(codes) != expected:
+        raise RuntimeError(f"Borel subgroup has order {len(codes)}, expected {expected}")
+    return gen_codes, codes
 
 
-def monomial_subgroup(ctx: GLContext) -> FiniteGroup:
-    """Monomial matrices: the diagonal torus extended by the permutation
-    matrices of S_n."""
+def monomial_subgroup(ctx: GLContext):
+    """Monomial matrices, as (generator codes, element codes): the diagonal
+    torus extended by the permutation matrices of S_n."""
     field, n = ctx.field, ctx.n
     gens = [identity_with(field, n, {(i, i): field.generator}) for i in range(n)]
     if n > 1:
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, (0, 1)), 1))
         gens.append(block_perm_matrix(field, n, Perm.from_cycles(n, tuple(range(n))), 1))
-    return code_closure(ctx, gens, STRUCTURED_CAP)
+    return RowCodec(field, n).closure(gens, STRUCTURED_CAP)
 
 
 def singer_element(ctx: GLContext) -> Mat:
@@ -685,15 +689,15 @@ def _has_root(field, c):
     return False
 
 
-def singer_normalizer(ctx: GLContext) -> FiniteGroup:
+def singer_normalizer(ctx: GLContext):
     """The Singer torus extended by a twist conjugating it to its q-th
-    power; order n (q^n - 1)."""
+    power, as (generator codes, element codes); order n (q^n - 1)."""
     s = singer_element(ctx)
     field = ctx.field
     twist = next(iter(_twist_elements(field, s, s**field.q)), None)
     if twist is None:
         raise RuntimeError("no invertible Singer twist found")
-    return code_closure(ctx, [s, twist], STRUCTURED_CAP)
+    return RowCodec(field, ctx.n).closure([s, twist], STRUCTURED_CAP)
 
 
 def random_invertible(ctx: GLContext, rng) -> Mat:
@@ -716,6 +720,6 @@ def census_csv_row(desc: SylowTwoDescriptor) -> str:
     verdict = "within-bound" if within else "exceeds-bound"
     return (
         f"{n},{q},{desc.construction},"
-        f"{desc.group.order},{desc.census_total},{desc.census_central},"
+        f"{desc.order},{desc.census_total},{desc.census_central},"
         f"{bound},{verdict}"
     )

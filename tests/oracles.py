@@ -2,7 +2,8 @@
 
 No verifier calls these.  Each one is the simplest exhaustive route to an
 answer the engine reaches another way, or a fixture the engine does not
-need: the involution census of a Sylow 2-subgroup by squaring every Mat,
+need: a Sylow 2-subgroup decoded into a FiniteGroup of Mats, the
+involution census of that group by squaring every Mat,
 the 2-rank by growing elementary abelian subgroups, every subgroup
 of a small ambient with no conjugacy shortcut, the lemma-a check on a
 FiniteGroup of Mat elements, the Singer collineation of PG(2, q), the
@@ -14,10 +15,17 @@ from collections import deque
 
 from tworank.errors import ResourceLimitError
 from tworank.lemma_a import _verdict
-from tworank.matgroup import GLContext, singer_element
+from tworank.matgroup import GLContext, RowCodec, singer_element
 from tworank.orbit import orbit
 
 ORACLE_AMBIENT_CAP = 500
+
+
+def sylow2_group(desc):
+    """The Sylow 2-subgroup of the SylowTwoDescriptor desc as a FiniteGroup
+    of Mat elements, decoded from its codes in closure order."""
+    ctx = desc.context
+    return RowCodec(ctx.field, ctx.n).group(desc.gen_codes, desc.codes)
 
 
 def involution_census(group):

@@ -19,7 +19,7 @@ from tworank.matgroup import (
 )
 from tworank.partarith import geom_sum, gl_order_two_part
 
-from oracles import two_rank
+from oracles import sylow2_group, two_rank
 
 
 class Criterion:
@@ -39,7 +39,7 @@ class Criterion:
 def test_criterion_01_sylow2_gl2_7():
     c = Criterion(1, 1.0)
     desc = sylow2_gl(2, 7)
-    assert desc.group.order == 32
+    assert desc.order == 32
     assert desc.census_total == 9
     c.done("Sylow-2 of GL_2(7): order 32, 9 involutions")
 
@@ -47,7 +47,7 @@ def test_criterion_01_sylow2_gl2_7():
 def test_criterion_02_sylow2_gl2_31():
     c = Criterion(2, 5.0)
     desc = sylow2_gl(2, 31)
-    assert desc.group.order == 128
+    assert desc.order == 128
     assert desc.census_total == 33
     assert desc.census_central == 1
     c.done("Sylow-2 of GL_2(31): order 128, 33 involutions, 1 central")
@@ -91,7 +91,7 @@ def test_criterion_05_statement2_census():
 def test_criterion_06_gl4_7_census_and_oracle():
     c = Criterion(6, 10.0)
     desc = sylow2_gl(4, 7)
-    assert desc.group.order == 2048
+    assert desc.order == 2048
     assert desc.census_total == 131
     assert wreath_involution_count(9, 32) == (9 + 1) ** 2 - 1 + 32 == 131
     assert desc.census_total == wreath_involution_count(9, 32)
@@ -184,7 +184,7 @@ def test_criterion_12_two_rank_characterization():
         lib.dihedral(8), lib.dihedral(16), lib.dihedral(32),
         lib.generalized_quaternion(8), lib.generalized_quaternion(16),
         lib.generalized_quaternion(32),
-        sylow2_gl(2, 7).group,                  # semidihedral of order 32
+        sylow2_group(sylow2_gl(2, 7)),          # semidihedral of order 32
         lib.elementary_abelian_two(3),        # V_4 x C_2
         lib.sl2(7).sylow_two(),
     ]

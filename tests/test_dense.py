@@ -1,4 +1,5 @@
-"""Schreier-tree dense rows against the object-product oracle."""
+"""Dense rows from one walk and the Schreier tree, against the
+object-product oracle."""
 
 import random
 
@@ -52,6 +53,40 @@ def test_rows_match_object_products_gl27_sample():
     D = DenseGroup(G)
     assert D.n == 2016
     assert_rows_match_oracle(D, random.Random(11).sample(range(D.n), 24))
+
+
+def test_rows_match_object_products_on_tower_groups(monkeypatch):
+    """Every DenseGroup the tower campaign builds, on a seeded sample of
+    indices, after the campaign has used its rows."""
+    real = DenseGroup.__init__
+    built = []
+
+    def recording(self, group):
+        real(self, group)
+        built.append(self)
+
+    monkeypatch.setattr(DenseGroup, "__init__", recording)
+    random_identity_campaign(seed=1, trials=10)
+    assert len(built) >= 5 and max(D.n for D in built) > 24
+    rng = random.Random(7)
+    for D in built:
+        assert_rows_match_oracle(D, rng.sample(range(D.n), min(D.n, 8)))
+
+
+def test_build_makes_one_product_per_element_and_generator(monkeypatch):
+    """The walk fills the generators' right rows; left rows take no
+    object products."""
+    G = lib.symmetric(4).materialize()
+    real = Perm.__mul__
+    products = []
+
+    def counting(a, b):
+        products.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    D = DenseGroup(G)
+    assert len(products) == len(G.gens) * D.n
 
 
 def test_generators_short_of_the_elements_raise():

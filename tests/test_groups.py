@@ -14,7 +14,7 @@ from tworank.groups import (
 )
 from tworank.matgroup import gl_context_q, gl_generators
 
-from oracles import two_rank
+from oracles import sylow2_group, two_rank
 
 
 def test_closure_s3():
@@ -195,7 +195,7 @@ def test_two_rank_family():
         (lib.cyclic(2), 1), (lib.cyclic(8), 1), (lib.cyclic(16), 1),
         (lib.dihedral(8), 2), (lib.dihedral(16), 2),
         (lib.generalized_quaternion(8), 1), (lib.generalized_quaternion(16), 1),
-        (sylow2_gl(2, 7).group, 2),          # semidihedral of order 32
+        (sylow2_group(sylow2_gl(2, 7)), 2),  # semidihedral of order 32
         (lib.elementary_abelian_two(3), 3),  # V_4 x C_2
         (lib.sl2(7).sylow_two(), 1),
         (lib.wreath_c2_c2(), 2),

@@ -17,7 +17,7 @@ from tworank.lemma_a import (
 )
 from tworank.matgroup import RowCodec, certifies_gl2p, gl_context_q, gl_generators, sylow2_gl
 
-from oracles import all_subgroups_oracle, lemma_a_check
+from oracles import all_subgroups_oracle, lemma_a_check, sylow2_group
 
 
 def test_lattice_s4_class_and_subgroup_counts():
@@ -95,7 +95,7 @@ def test_lemma_a_check_gl27_instances():
 
     assert heart_coprime(56, 7) == 1
 
-    syl = sylow2_gl(2, 7).group
+    syl = sylow2_group(sylow2_gl(2, 7))
     v = lemma_a_check(syl, ctx)
     assert v.verdict == "satisfied" and v.index == 1  # central involution
 
@@ -108,7 +108,7 @@ def test_lemma_a_check_gl27_instances():
 def test_lemma_a_verdict_consistent_on_conjugates():
     ctx = gl_context_q(2, 7)
     F = field_make(7)
-    base = sylow2_gl(2, 7).group
+    base = sylow2_group(sylow2_gl(2, 7))
     h = Mat.from_rows(F, [[1, 2], [0, 1]])
     conj = closure([(h * g) * h.inv() for g in base.gens])
     v1 = lemma_a_check(base, ctx)
@@ -204,6 +204,28 @@ def test_random_stream_propagates_engine_faults(monkeypatch):
     monkeypatch.setattr(lemma_a, "sylow2_gl", faulty_builder)
     with pytest.raises(RuntimeError, match="wrong order"):
         random_stream_campaign(gl_context_q(2, 7), seed=1, count_target=5, max_order=30000)
+
+
+def test_random_stream_encodes_only_generators(monkeypatch):
+    """The structured families reach the check as codes: the stream
+    encodes the generators it is offered and each codec's identity, never
+    a family's elements."""
+    real_encode, real_generator_codes = RowCodec.encode, RowCodec.generator_codes
+    encoded, offered = [], []
+
+    def encode(self, g):
+        encoded.append(g)
+        return real_encode(self, g)
+
+    def generator_codes(self, gens):
+        offered.extend(gens)
+        return real_generator_codes(self, gens)
+
+    monkeypatch.setattr(RowCodec, "encode", encode)
+    monkeypatch.setattr(RowCodec, "generator_codes", generator_codes)
+    random_stream_campaign(gl_context_q(2, 7), seed=1, count_target=20, max_order=30000)
+    moved = [g for g in encoded if not g.is_identity()]
+    assert len(moved) == sum(1 for g in offered if not g.is_identity())
 
 
 def test_campaign_not_applicable_outside_hypotheses():

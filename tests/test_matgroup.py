@@ -12,7 +12,6 @@ from tworank.matgroup import (
     borel_subgroup,
     census_csv_row,
     certifies_gl2p,
-    code_closure,
     gl_context,
     gl_context_q,
     gl_generators,
@@ -28,7 +27,7 @@ from tworank.matgroup import (
 from tworank.groups import closure
 from tworank.partarith import gl_order_two_part, part_pow
 
-from oracles import involution_census
+from oracles import involution_census, sylow2_group
 
 
 def test_gl_context_orders():
@@ -55,7 +54,7 @@ def test_sylow2_symmetric_gens_orders():
 
 def test_sylow2_gl2_q7_census():
     desc = sylow2_gl(2, 7)
-    assert desc.group.order == 32
+    assert desc.order == 32
     assert desc.census_total == 9
     assert desc.census_central == 1
     assert desc.construction == "Presentation4q1"
@@ -63,7 +62,7 @@ def test_sylow2_gl2_q7_census():
 
 def test_sylow2_gl2_q31_census():
     desc = sylow2_gl(2, 31)
-    assert desc.group.order == 128
+    assert desc.order == 128
     assert desc.census_total == 33
     assert desc.census_central == 1
 
@@ -71,7 +70,7 @@ def test_sylow2_gl2_q31_census():
 def test_sylow2_gl2_q19():
     desc = sylow2_gl(2, 19)
     # |GL_2(19)|_2 = (18)_2 (360)_2 = 2 * 8
-    assert desc.group.order == gl_order_two_part(2, 19) == 16
+    assert desc.order == gl_order_two_part(2, 19) == 16
     assert desc.census_total <= 19 + 2
     assert desc.census_total - desc.census_central <= 19 + 1
 
@@ -97,7 +96,7 @@ def test_code_census_matches_mat_oracle(n, q):
     """The census sylow2_gl takes on row codes equals the census that
     squares every element as a Mat, over prime and extension fields."""
     desc = sylow2_gl(n, q)
-    assert (desc.census_total, desc.census_central) == involution_census(desc.group)
+    assert (desc.census_total, desc.census_central) == involution_census(sylow2_group(desc))
 
 
 @pytest.mark.parametrize(
@@ -123,12 +122,12 @@ def test_each_sylow2_subgroup_is_closed_once(monkeypatch, build, args, closures)
 def test_sylow2_gl_orders_match_formula():
     for (n, q) in [(1, 7), (2, 7), (3, 7), (4, 7), (2, 13), (3, 13), (2, 9), (1, 13)]:
         desc = sylow2_gl(n, q)
-        assert desc.group.order == gl_order_two_part(n, q), (n, q)
+        assert desc.order == gl_order_two_part(n, q), (n, q)
 
 
 def test_sylow2_gl3_q7_census():
     desc = sylow2_gl(3, 7)
-    assert desc.group.order == 64
+    assert desc.order == 64
     # C_2 x (32-element base): pairs (h, eps) with h^2 = 1
     assert desc.census_total == 2 * 9 + 1 == 19
     assert desc.construction == "OddSplit"
@@ -136,7 +135,7 @@ def test_sylow2_gl3_q7_census():
 
 def test_sylow2_gl4_q7_census_and_wreath_oracle():
     desc = sylow2_gl(4, 7)
-    assert desc.group.order == 2048
+    assert desc.order == 2048
     assert desc.census_total == 131
     assert wreath_involution_count(9, 32) == 131
     assert desc.construction == "WreathEven"
@@ -144,7 +143,7 @@ def test_sylow2_gl4_q7_census_and_wreath_oracle():
 
 def test_sylow2_gl2_q13_diagonal_wreath():
     desc = sylow2_gl(2, 13)
-    assert desc.group.order == 32
+    assert desc.order == 32
     assert desc.census_total == 7
     assert desc.construction == "DiagonalWreath"
 
@@ -257,18 +256,24 @@ def test_census_csv():
 
 
 def test_structured_families_gl27():
+    """Each family's codes are exactly the Mat closure of its decoded
+    generators, in the same order."""
     ctx = gl_context_q(2, 7)
-    assert borel_subgroup(ctx).order == 7 * 36
-    assert monomial_subgroup(ctx).order == 72
+    codec = RowCodec(ctx.field, ctx.n)
+    families = [(borel_subgroup, 7 * 36), (monomial_subgroup, 72), (singer_normalizer, 96)]
+    for build, order in families:
+        gen_codes, codes = build(ctx)
+        assert len(codes) == order
+        H = closure([codec.decode(g) for g in gen_codes])
+        assert codes == [codec.encode(h) for h in H.elements]
     s = singer_element(ctx)
     assert s.order() == 48
-    assert singer_normalizer(ctx).order == 96
 
 
 def test_structured_families_gl213():
     ctx = gl_context_q(2, 13)
-    assert borel_subgroup(ctx).order == 13 * 144
-    assert singer_normalizer(ctx).order == 2 * (13 * 13 - 1)
+    assert len(borel_subgroup(ctx)[1]) == 13 * 144
+    assert len(singer_normalizer(ctx)[1]) == 2 * (13 * 13 - 1)
 
 
 def first_primitive_companion(ctx):
@@ -325,7 +330,8 @@ def _oracle_cases(ctx):
     elements, some of which close past the cap."""
     F, n = ctx.field, ctx.n
     ident = Mat.identity_of(F, n)
-    mono = list(monomial_subgroup(ctx).gens)
+    codec = RowCodec(F, n)
+    mono = [codec.decode(g) for g in monomial_subgroup(ctx)[0]]
     cases = [mono + [ident, mono[0]], [ident], [ident, ident]]
     rng = random.Random(11)
     cases += [[random_invertible(ctx, rng) for _ in range(1 + i % 3)] for i in range(12)]
@@ -347,14 +353,12 @@ def test_code_closure_matches_mat_closure(n, q):
             with pytest.raises(ResourceLimitError) as got:
                 codec.closure(gens, cap)
             assert got.value.partial == exc.partial
-            with pytest.raises(ResourceLimitError):
-                code_closure(ctx, gens, cap)
             capped += 1
             continue
         gen_codes, codes = codec.closure(gens, cap)
         assert [codec.decode(c) for c in gen_codes] == list(H.gens)
         assert [codec.decode(c) for c in codes] == list(H.elements)
-        K = code_closure(ctx, gens, cap)
+        K = codec.group(gen_codes, codes)
         assert K.gens == H.gens and K.elements == H.elements
         closed += 1
     assert closed >= 4 and capped >= 1
@@ -385,7 +389,7 @@ def test_is_involution_matches_mat_squares(n, q):
     ctx = gl_context_q(n, q)
     codec = RowCodec(ctx.field, ctx.n)
     rng = random.Random(3)
-    mats = list(sylow2_gl(n, q).group.elements)
+    mats = list(sylow2_group(sylow2_gl(n, q)).elements)
     mats += [random_invertible(ctx, rng) for _ in range(200)]
     found = 0
     for g in mats:
@@ -402,7 +406,7 @@ def test_gl2p_certificate_only_over_prime_fields_and_n2():
     ctx = gl_context_q(3, 7)
     codec = RowCodec(ctx.field, ctx.n)
     rng = random.Random(2)
-    lists = [gl_generators(ctx), list(monomial_subgroup(ctx).gens)]
+    lists = [gl_generators(ctx), [codec.decode(g) for g in monomial_subgroup(ctx)[0]]]
     lists += [[random_invertible(ctx, rng) for _ in range(3)] for _ in range(20)]
     for gens in lists:
         assert not certifies_gl2p(codec, codec.generator_codes(gens))

@@ -14,11 +14,15 @@ from tworank.cli import run
 
 DIGESTS = [
     ("verify sylow2 --n 2 --q 7", "3d16b7b0406bd24b933dc177a2c4c427831096dd674454573db1b0dc0f1de021"),
+    # OddSplit: the 2x2 wreath blocks plus a -1 on the last coordinate
+    ("verify sylow2 --n 3 --q 7", "99d3220530b0454c9fddeb1f387d2d1f4a0f2ec76e4cd5d0554514ad2ee0d182"),
     ("verify sn-bounds", "a3509adbde42cb82e99acf36f32703a9a2320f127208d6ad92c998788828197e"),
     ("verify quaternion", "04c8b674cda54cd7c4168a32acece40614dc79bc736f310ec47c768897960d9f"),
     ("verify fixtrans", "116f2e6ab2e8399c62416b7ef3b863aa1337daf64c6633313c626f0796291262"),
     ("verify counting --q 9", "e66c6d8f237c1a79ef1679060a03f6330d687b09eb27df5a38bfc4ef607019e8"),
     ("census sylow2 --n 4 --q 7", "01f17dab7348f8965d355a5665f41a37c047865f7af764122bc36e2a954f12fd"),
+    # DiagonalWreath: the 2-part of the diagonal torus wreathed by S_4's Sylow 2
+    ("census sylow2 --n 4 --q 5", "1f423b59820973f7c25c3cf969e807e3aea3eba5c5a26efa5198230572b15626"),
     # det, inv and the twist kernel over an extension field with a > 2
     ("census sylow2 --n 2 --q 27", "077f25b93bb8c4c595abdfc9f4b5dbcf0760e0f6161cf1e77c84a2639cd92b75"),
     # the census bound in both cases: q + 2 inclusive, the geometric sum strict
