@@ -40,15 +40,17 @@ def orbit(seeds, maps, cap=None):
     under `maps`, in breadth-first discovery order.
 
     Reaching more than `cap` elements raises ResourceLimitError with
-    partial = the number reached so far."""
+    partial = cap.  The cap is tested once per element, after its pass
+    over the maps, so the queue may run past it by up to len(maps)
+    elements before the raise."""
     seen = dict.fromkeys(seeds)
     queue = list(seen)
     for x in queue:
         for m in maps:
             y = m[x]
             if y not in seen:
-                if cap is not None and len(queue) >= cap:
-                    raise ResourceLimitError(f"orbit exceeded cap {cap}", partial=len(queue))
                 seen[y] = None
                 queue.append(y)
+        if cap is not None and len(queue) > cap:
+            raise ResourceLimitError(f"orbit exceeded cap {cap}", partial=cap)
     return queue

@@ -7,19 +7,22 @@ incidence the zero dot product.  A collineation is the Perm it induces on
 points; IncidencePlane.collineation builds it from a semilinear map and
 checks that it preserves incidence.  A collineation group is a PlaneGroup:
 the FiniteGroup of those point permutations, closed lazily under a cap like
-any FiniteGroup.  Conjugacy classes and point orbits run straight off the
-generators, so point-transitive groups far above the element cap can still
-be checked.
+any FiniteGroup.  The class of a Baer involution (as its fixed subplanes)
+and point orbits run straight off the generators, so point-transitive
+groups far above the element cap can still be checked.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
+from operator import itemgetter
 
 from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import field_make
 from .groups import FiniteGroup, closure, is_transitive
-from .orbit import Action, conjugation, orbit
+from .orbit import Action, orbit
 from .partarith import prime_power_decompose
 from .report import VERIFIED, Check, VerificationReport
 
@@ -241,9 +244,10 @@ class PlaneGroup(FiniteGroup):
     """A collineation group of a plane, as the permutation group of its
     point permutations.
 
-    The conjugacy class of an element is a BFS off the generators, so
-    groups far above the element cap can still be checked by class; the
-    element set is closed only when a check needs it, under `cap`.
+    The conjugacy class of a Baer involution is walked as the orbit of its
+    fixed subplane under the generators, so groups far above the element
+    cap can still be checked by class; the element set is closed only when
+    a check needs it, under `cap`.
     """
 
     def __init__(self, plane, perms, cap=DEFAULT_GROUP_CAP):
@@ -251,15 +255,89 @@ class PlaneGroup(FiniteGroup):
         self.plane = plane
 
     def conj_class_of(self, perm):
-        """BFS of the conjugacy class of `perm` under the generators, capped
-        at DEFAULT_CLASS_CAP; does not require materializing the group."""
-        return tuple(orbit([perm], conjugation(self.gens), DEFAULT_CLASS_CAP))
+        """The fixed point sets of the conjugacy class of the involution
+        `perm`, as sorted tuples in breadth-first order under the
+        generators, capped at DEFAULT_CLASS_CAP; does not require
+        materializing the group.
+
+        Fix(x h x^-1) = x . Fix(h), so the fixed sets of the class are the
+        G-orbit of F = Fix(perm).  The map h -> Fix(h) is one-to-one on the
+        class, and this is certified before the walk, not assumed:
+
+        - a conjugate with fixed set F is an involution of K, the pointwise
+          stabilizer of F in G;
+        - each generator preserves incidence (checked), so every element of
+          G is a collineation, semilinear by the fundamental theorem of
+          projective geometry;
+        - F contains a frame f1..f4, no three collinear (else this raises);
+          with M mapping e1, e2, e3, (1, 1, 1) to it, the semilinear maps
+          fixing the frame are the a maps x -> M sigma^k(M)^-1 sigma^k(x),
+          sigma the Frobenius x -> x^p and k = 0..a-1;
+        - so K lies among those of them that fix F pointwise
+          (_fixing_collineations), and perm must be their only involution,
+          else this raises.
+
+        Then if x perm x^-1 and y perm y^-1 have one fixed set x . F = y . F,
+        the conjugate x^-1 y perm y^-1 x fixes F pointwise, so it is perm,
+        and the two conjugates are equal.
+        """
+        plane = self.plane
+        for gen in self.gens:
+            plane.line_perm_from_point_perm(gen)
+        fixed = tuple(_fixed(perm))
+        fixers = _fixing_collineations(plane, fixed)
+        involutions = [h for h in fixers if not h.is_identity() and (h * h).is_identity()]
+        if involutions != [perm]:
+            raise RuntimeError("the involution is not the only one fixing its fixed points")
+        maps = [Action(_image_set, g.img) for g in self.gens]
+        return tuple(orbit([fixed], maps, DEFAULT_CLASS_CAP))
+
+
+def _image_set(points, img):
+    """The image of a sorted point tuple under a point permutation's img."""
+    return tuple(sorted(itemgetter(*points)(img)))
+
+
+def _fixing_collineations(plane, pts):
+    """The collineations that fix every point of `pts`, found among the a
+    that fix a frame in pts (see PlaneGroup.conj_class_of); raises if pts
+    holds no frame."""
+    F = plane.field
+    vecs = [plane.points[i] for i in pts]
+
+    def det(u, v, w):
+        return Mat(F, 3, u + v + w, _checked=True).det()
+
+    f1, f2 = vecs[:2]
+    off = [v for v in vecs if det(f1, f2, v)]  # off the line f1 f2
+    frame = next(((f3, f4) for f3 in off[:1] for f4 in off if det(f1, f3, f4) and det(f2, f3, f4)), None)
+    if frame is None:
+        raise RuntimeError("the fixed points contain no frame")
+    f3, f4 = frame
+    # columns c_j f_j with c1 f1 + c2 f2 + c3 f3 = f4
+    B = Mat.from_rows(F, list(zip(f1, f2, f3)))
+    c = [F.dot(row, f4) for row in B.inv().rows()]
+    M = Mat.from_rows(F, [[F.mul_code(b, cj) for b, cj in zip(row, c)] for row in B.rows()])
+    out, Mk = [], M
+    for k in range(F.a):
+        h = plane.collineation(M * Mk.inv(), k)
+        if all(h.img[i] == i for i in pts):
+            out.append(h)
+        Mk = Mk.frobenius_entrywise()
+    return out
 
 
 def point_stabilizer(G):
-    """G_0, the stabilizer of the base point 0 in the permutation group G."""
+    """G_0, the stabilizer of the base point 0 in the permutation group G,
+    on a greedy span of its elements (on objects: a DenseGroup of G costs
+    more than the few closures of G_0)."""
     elems = [g for g in G.elements if g.img[0] == 0]
-    return FiniteGroup._from_elements(elems, [])
+    gens, span = [], {G.identity}
+    for h in elems:
+        if h not in span:
+            gens.append(h)
+            span = closure(gens).element_set
+    return FiniteGroup._from_elements(elems, gens)
 
 
 def gl3_collineation_generators(plane: IncidencePlane):
@@ -301,8 +379,10 @@ def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
     conjugates of the involution g fix u^2+u+1 points:
     |g^G| / |g^G n G_alpha| must equal u^2-u+1 exactly.
 
-    Both sides are computed by explicit orbit/scan work, and the ratio is
-    cross-checked by double counting fixed points over the class.
+    Both sides are counted on the class walked as the orbit of g's fixed
+    subplane (PlaneGroup.conj_class_of certifies that each conjugate has
+    its own), and the ratio is cross-checked by double counting fixed
+    points over the class.
     """
     plane = G.plane
     check = Check("plane-counting", {"q": plane.order})
@@ -321,24 +401,21 @@ def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
     if not is_transitive(G):
         return check.not_applicable(reason_transitive=0)
     baer_count = u * u + u + 1
+    # conjugates fix as many points as g does
+    n_fixed = len(_fixed(g))
+    if n_fixed != baer_count:
+        return check.not_applicable(reason_conjugate_fixes=n_fixed, expected=baer_count)
     try:
-        cls = G.conj_class_of(g)
+        sets = G.conj_class_of(g)
     except ResourceLimitError as exc:
         return check.skipped(exc)
-    # one scan of the class: each conjugate's fixed points, tallied per
-    # point for the double count, and the conjugates fixing point 0
+    # per-point tallies of the fixed sets for the double count, and the
+    # conjugates fixing point 0: the sets that start with it
     n_pts = plane.num_points
-    per_point = [0] * n_pts
-    fix_alpha = 0
-    for h in cls:
-        img = h.img
-        fixed = [i for i in range(n_pts) if img[i] == i]
-        if len(fixed) != baer_count:
-            return check.not_applicable(reason_conjugate_fixes=len(fixed), expected=baer_count)
-        for i in fixed:
-            per_point[i] += 1
-        fix_alpha += img[0] == 0
-    class_size = len(cls)
+    tally = Counter(chain.from_iterable(sets))
+    per_point = [tally[i] for i in range(n_pts)]
+    fix_alpha = sum(S[0] == 0 for S in sets)
+    class_size = len(sets)
     expected = u * u - u + 1
     prime_cond = baer_prime_condition(u)
     counts = {

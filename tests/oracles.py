@@ -7,8 +7,9 @@ involution census of that group by squaring every Mat,
 the 2-rank by growing elementary abelian subgroups, every subgroup
 of a small ambient with no conjugacy shortcut, the lemma-a check on a
 FiniteGroup of Mat elements, the Singer collineation of PG(2, q), the
-tower identities' indices from centralizers and the quotient group, and
-the fixed-point transitivity counts from scans over every element of G.
+tower identities' indices from centralizers and the quotient group,
+the fixed-point transitivity counts from scans over every element of G,
+and the conjugacy class of a collineation as whole point permutations.
 """
 
 from collections import deque
@@ -16,7 +17,8 @@ from collections import deque
 from tworank.errors import ResourceLimitError
 from tworank.lemma_a import _verdict
 from tworank.matgroup import GLContext, RowCodec, singer_element
-from tworank.orbit import orbit
+from tworank.orbit import conjugation, orbit
+from tworank.plane import DEFAULT_CLASS_CAP
 
 ORACLE_AMBIENT_CAP = 500
 
@@ -124,6 +126,14 @@ def singer_collineation(plane):
     if coll.order() != q * q + q + 1:
         raise RuntimeError("Singer point order is off")
     return coll
+
+
+def perm_class(G, g):
+    """g^G for a PlaneGroup G, as point permutations: a breadth-first walk
+    of conjugates under the generators, two Perm products per step, capped
+    like PlaneGroup.conj_class_of.  Checked against the walk of fixed
+    subplanes that counting_identity_check makes."""
+    return tuple(orbit([g], conjugation(G.gens), DEFAULT_CLASS_CAP))
 
 
 def fixtrans_counts(G, K):

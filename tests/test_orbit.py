@@ -42,3 +42,21 @@ def test_object_actions():
     # the reflections conjugate to s in D_8: s and r s r^-1
     cls = orbit([s], conjugation([r, s]))
     assert cls == [s, (r * s) * r.inv()]
+
+
+@pytest.mark.parametrize("cap", range(1, 30))
+def test_capped_orbit_equals_uncapped_or_raises_with_partial_cap(cap):
+    # S4 on four points, closed by right multiplication: 24 elements, with
+    # several new elements per pass so the queue can pass the cap mid-pass
+    gens = [Perm.from_cycles(4, (0, 1)), Perm.from_cycles(4, (0, 1, 2, 3)),
+            Perm.from_cycles(4, (1, 2, 3))]
+    maps = [Action(mul, g) for g in gens]
+    e = Perm.identity_of(4)
+    full = orbit([e], maps)
+    assert len(full) == 24
+    if cap >= len(full):
+        assert orbit([e], maps, cap=cap) == full
+    else:
+        with pytest.raises(ResourceLimitError) as err:
+            orbit([e], maps, cap=cap)
+        assert err.value.partial == cap

@@ -1,6 +1,7 @@
 import pytest
 
-from tworank.acceptance_instances import pair_action_of_s4, singer_normalizer_group
+from tworank import constructions as lib
+from tworank.acceptance_instances import pair_action_of_s4, psl2_moebius, singer_normalizer_group
 from tworank.elements import Mat, Perm
 from tworank.groups import closure, is_transitive
 from tworank.matgroup import GLContext, singer_element
@@ -16,8 +17,9 @@ from tworank.plane import (
     pg2,
     point_stabilizer,
 )
+from tworank.plane import _fixed, _fixing_collineations
 
-from oracles import singer_collineation
+from oracles import perm_class, singer_collineation
 
 
 def test_pg2_9_sizes():
@@ -82,10 +84,15 @@ def test_frobenius_rejects_nonsquare():
         frobenius_collineation(pg2(7))
 
 
+def _homology(P):
+    """diag(1, 1, -1): fixes the line z = 0 pointwise and its center."""
+    F = P.field
+    return P.collineation(Mat.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, F.neg_code(1)]]))
+
+
 def test_homology_fixed_structure():
     P = pg2(9)
-    F = P.field
-    hom = P.collineation(Mat.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, F.neg_code(1)]]))
+    hom = _homology(P)
     fs = fixed_structure(P, hom)
     # a homology fixes a line pointwise plus its center: 10 + 1 points
     assert fs.num_points == 11
@@ -122,8 +129,7 @@ def test_counting_identity_not_applicable_cases():
     P7 = pg2(7)  # not a square order
     gens = gl3_collineation_generators(P7)
     G = PlaneGroup(P7, gens)
-    F = P7.field
-    hom = P7.collineation(Mat.from_rows(F, [[1, 0, 0], [0, 1, 0], [0, 0, F.neg_code(1)]]))
+    hom = _homology(P7)
     r = counting_identity_check(G, hom)
     assert r.verdict == "not-applicable"
     # intransitive group on PG(2,9)
@@ -132,6 +138,60 @@ def test_counting_identity_not_applicable_cases():
     G9 = PlaneGroup(P9, [fr])
     r = counting_identity_check(G9, fr)
     assert r.verdict == "not-applicable"
+    # the hypothesis check on g: a homology of PG(2,9) fixes q + 2 = 11
+    # points, not 13
+    G, _ = counting_instance(P9)
+    hom9 = _homology(P9)
+    r = counting_identity_check(PlaneGroup(P9, list(G.gens) + [hom9]), hom9)
+    assert r.verdict == "not-applicable"
+    assert r.counts == {"reason_conjugate_fixes": 11, "expected": 13}
+
+
+def test_fixed_set_walk_matches_perm_class_on_pg9():
+    P = pg2(9)
+    G, fr = counting_instance(P)
+    sets = G.conj_class_of(fr)
+    cls = perm_class(G, fr)
+    assert len(sets) == len(cls) == 7560
+    # h -> Fix(h) is one-to-one on the class, and its image is the set walk
+    fixed = {tuple(_fixed(h)) for h in cls}
+    assert len(fixed) == len(cls)
+    assert fixed == set(sets)
+    assert sum(h.img[0] == 0 for h in cls) == sum(0 in S for S in sets) == 1080
+    per_point = [0] * P.num_points
+    for h in cls:
+        for i in _fixed(h):
+            per_point[i] += 1
+    assert per_point == [sum(i in S for S in sets) for i in range(P.num_points)]
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_certificate_pointwise_stabilizer_is_identity_and_frobenius(q):
+    P = pg2(q)
+    fr = frobenius_collineation(P)
+    K = _fixing_collineations(P, tuple(_fixed(fr)))
+    assert K == [Perm.identity_of(P.num_points), fr]
+
+
+def test_certificate_keeps_only_pointwise_fixers():
+    # fr fixes the frame but moves a point outside its subplane
+    P = pg2(9)
+    fr = frobenius_collineation(P)
+    F = _fixed(fr)
+    extra = next(i for i in range(P.num_points) if fr.img[i] != i)
+    assert _fixing_collineations(P, tuple(sorted(F + [extra]))) == [Perm.identity_of(91)]
+
+
+def test_certificate_rejects_non_baer_elements():
+    P = pg2(9)
+    G, fr = counting_instance(P)
+    with pytest.raises(RuntimeError, match="frame"):
+        G.conj_class_of(_homology(P))  # its fixed points are a line and one point
+    with pytest.raises(RuntimeError, match="only one"):
+        G.conj_class_of(G.identity)  # fixes every point, not an involution
+    bad = PlaneGroup(P, [fr, Perm.from_cycles(91, (0, 1))])
+    with pytest.raises(ValueError, match="incidence"):
+        bad.conj_class_of(fr)
 
 
 def test_singer_collineation():
@@ -181,6 +241,19 @@ def test_fixpoint_transitivity_baer_instance():
     assert r.counts["fix_size"] == 13
 
 
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda: lib.symmetric(5), lambda: psl2_moebius(7)],
+    ids=["S5", "PSL2(7)"],
+)
+def test_point_stabilizer_has_few_generators(make_group):
+    G = make_group()
+    stab = point_stabilizer(G)
+    assert stab.element_set == frozenset(h for h in G.elements if h.img[0] == 0)
+    assert closure(list(stab.gens)).element_set == stab.element_set
+    assert len(stab.gens) <= 3
+
+
 def test_fixpoint_transitivity_false_side():
     pairs_group, transposition_image = pair_action_of_s4()
     K = closure([transposition_image])
@@ -204,7 +277,6 @@ def test_fixpoint_transitivity_trivial_k():
 def test_fixpoint_transitivity_cross_checks_normalizer(monkeypatch):
     # a normalizer scan that finds only the identity breaks
     # |N_G(K)| * |K^G| = |G| against the orbit of K's conjugates
-    import tworank.constructions as lib
     from tworank.groups import FiniteGroup
 
     s4 = lib.symmetric(4)
@@ -215,8 +287,6 @@ def test_fixpoint_transitivity_cross_checks_normalizer(monkeypatch):
 
 
 def test_fixpoint_transitivity_rejects_bad_k():
-    import tworank.constructions as lib
-
     s4 = lib.symmetric(4)
     moving = closure([Perm.from_cycles(4, (0, 1))])  # moves the base point
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ that means to alter output updates the digest and says why.
 """
 
 import hashlib
+import json
 import sys
 
 import pytest
@@ -69,3 +70,18 @@ def test_sn_bounds_runs_without_mpmath(monkeypatch, capsys):
     assert run(["verify", "sn-bounds", "--stable-output"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == dict(DIGESTS)["verify sn-bounds"]
+
+
+# the Baer class of PG(2, 25): 409,500 conjugates, 19,500 of them fixing
+# point 0; pinned apart from DIGESTS so the command runs once
+COUNTING_Q25 = ("verify counting --q 25", "8d18052648c4344b12e81d1402a2d56384406a4052b68f5ddb7d12730e085444")
+
+
+def test_counting_q25_digest_and_counts(capsys):
+    command, digest = COUNTING_Q25
+    assert run(command.split() + ["--stable-output"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    counts = json.loads(out)["counts"]
+    assert counts["ratio"] == 21
+    assert counts["class_size"] == 409_500
