@@ -1,12 +1,14 @@
 """Projective planes, collineations, Baer involutions and the fixed-point
 counting checks.
 
-Planes are the Desarguesian PG(2, q): points are canonical projective
-triples over GF(q) (first nonzero coordinate 1), lines the dual triples,
-incidence the zero dot product.  A collineation is the Perm it induces on
-points; IncidencePlane.collineation builds it from a semilinear map and
-checks that it preserves incidence.  A collineation group is a PlaneGroup:
-the FiniteGroup of those point permutations, closed lazily under a cap like
+An IncidencePlane is its lines, point sets on 0..n-1, with no coordinates;
+plane_order is the one axiom check of every plane and subplane, with no
+cap.  pg2(q) builds the subclass PG2: points are canonical projective
+triples over GF(q) (first nonzero coordinate 1), line i the dual of point
+i, incidence the zero dot product.  A collineation is the Perm it induces
+on points; PG2.collineation builds it from a semilinear map and checks
+that it preserves incidence.  A collineation group is a PlaneGroup: the
+FiniteGroup of those point permutations, closed lazily under a cap like
 any FiniteGroup.  The class of a Baer involution (as its fixed subplanes)
 and point orbits run straight off the generators, so point-transitive
 groups far above the element cap can still be checked.
@@ -26,7 +28,6 @@ from .orbit import Action, orbit
 from .partarith import prime_power_decompose
 from .report import VERIFIED, Check, VerificationReport
 
-PLANE_EXHAUSTIVE_AXIOM_CAP = 16
 DEFAULT_CLASS_CAP = 500_000
 DEFAULT_GROUP_CAP = 200_000
 # odd_transitive_search: the cap of each pair closure, the number of pairs
@@ -36,29 +37,87 @@ SEARCH_CANDIDATES = 1000
 SEARCH_SEED = 0
 
 
+def plane_order(lines):
+    """The order q if `lines`, point sets on 0..n-1, are the lines of a
+    projective plane, else None.
+
+    A linear space with q^2+q+1 points whose lines all hold q+1 points,
+    q >= 2, is a projective plane of order q (Hughes and Piper,
+    *Projective Planes*, 1973, ch. III).  The counts: n = q^2+q+1 lines of
+    q+1 points in range, q >= 2.  The cover: the lines through each point P
+    cover all n points.  k lines through P reach at most 1 + kq points, so
+    every point is on q+1 or more lines, and the n(q+1) incidences leave
+    none on more.  So the sizes of the lines through P sum to n+q, P alone
+    accounts for q of them, and any two points lie on exactly one line.
+    """
+    n = len(lines)
+    q = isqrt(n)
+    if q < 2 or q * q + q + 1 != n:
+        return None
+    cover = [0] * n  # cover[p]: the union of the lines through p, as a bitmask
+    for pts in lines:
+        if len(pts) != q + 1 or not all(0 <= p < n for p in pts):
+            return None
+        mask = sum(1 << p for p in pts)
+        for p in pts:
+            cover[p] |= mask
+    everything = (1 << n) - 1
+    if any(c != everything for c in cover):
+        return None
+    return q
+
+
 class IncidencePlane:
-    """PG(2, q): q^2+q+1 points and lines, q+1 points per line."""
+    """A projective plane given by its lines, point sets on 0..n-1; raises
+    RuntimeError unless plane_order accepts them."""
+
+    def __init__(self, lines):
+        self.points_on_line = tuple(frozenset(pts) for pts in lines)
+        order = plane_order(self.points_on_line)
+        if order is None:
+            raise RuntimeError("the lines do not satisfy the projective plane axioms")
+        self.order = order
+        self.num_points = n = len(self.points_on_line)
+        self.line_index_by_set = {pts: i for i, pts in enumerate(self.points_on_line)}
+        through = [[] for _ in range(n)]
+        for li, pts in enumerate(self.points_on_line):
+            for pi in pts:
+                through[pi].append(li)
+        self.lines_through_point = tuple(tuple(ls) for ls in through)
+
+    def line_perm_from_point_perm(self, perm):
+        """The induced line permutation; raises if incidence is broken."""
+        img = [0] * len(self.points_on_line)
+        for li, pts in enumerate(self.points_on_line):
+            mapped = frozenset(perm.img[p] for p in pts)
+            target = self.line_index_by_set.get(mapped)
+            if target is None:
+                raise ValueError("point permutation does not preserve incidence")
+            img[li] = target
+        return Perm(img)
+
+    def incidence_csv(self):
+        cols = range(self.num_points)
+        return "\n".join(",".join("1" if i in pts else "0" for i in cols) for pts in self.points_on_line)
+
+
+class PG2(IncidencePlane):
+    """PG(2, q) over `field`: q^2+q+1 points and lines, q+1 points per line,
+    with the coordinates of its points."""
 
     def __init__(self, field):
         self.field = field
         q = field.q
-        self.order = q
-        triples = []
-        for y in range(q):
-            for z in range(q):
-                triples.append((1, y, z))
-        for z in range(q):
-            triples.append((0, 1, z))
-        triples.append((0, 0, 1))
-        self.points = tuple(triples)
-        self.lines = tuple(triples)
+        affine = [(1, y, z) for y in range(q) for z in range(q)]
+        self.points = tuple(affine + [(0, 1, z) for z in range(q)] + [(0, 0, 1)])
         self.point_index = {p: i for i, p in enumerate(self.points)}
         add, mul, neg = field.add_code, field.mul_code, field.neg_code
-        # a line's points: with i the position of its leading 1, every
-        # (v[j], v[k]) in PG(1, q) extends to exactly one point on it
+        # line i is the dual of points[i]; with i the position of its
+        # leading 1, every (v[j], v[k]) in PG(1, q) extends to exactly one
+        # point on it
         pg1 = [(1, t) for t in range(q)] + [(0, 1)]
         on_line = []
-        for line in self.lines:
+        for line in self.points:
             i = line.index(1)
             j, k = [m for m in range(3) if m != i]
             pts = []
@@ -67,40 +126,8 @@ class IncidencePlane:
                 v[j], v[k] = vj, vk
                 v[i] = neg(add(mul(line[j], vj), mul(line[k], vk)))
                 pts.append(self.point_index[self.normalize(v)])
-            on_line.append(frozenset(pts))
-        self.points_on_line = tuple(on_line)
-        self.line_index_by_set = {pts: i for i, pts in enumerate(on_line)}
-        through = [[] for _ in self.points]
-        for li, pts in enumerate(on_line):
-            for pi in pts:
-                through[pi].append(li)
-        self.lines_through_point = tuple(tuple(ls) for ls in through)
-        self._verify_axioms()
-
-    @property
-    def num_points(self):
-        return len(self.points)
-
-    def _verify_axioms(self):
-        q = self.order
-        n = self.num_points
-        if n != q * q + q + 1:
-            raise RuntimeError(f"point count {n} is not q^2+q+1")
-        for pts in self.points_on_line:
-            if len(pts) != q + 1:
-                raise RuntimeError("line does not carry q+1 points")
-        for ls in self.lines_through_point:
-            if len(ls) != q + 1:
-                raise RuntimeError("point does not lie on q+1 lines")
-        if q <= PLANE_EXHAUSTIVE_AXIOM_CAP:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    common = [
-                        li for li in self.lines_through_point[i]
-                        if j in self.points_on_line[li]
-                    ]
-                    if len(common) != 1:
-                        raise RuntimeError("two points do not span a unique line")
+            on_line.append(pts)
+        super().__init__(on_line)
 
     def normalize(self, vec):
         """Scale a nonzero coordinate triple to its canonical representative."""
@@ -130,17 +157,6 @@ class IncidencePlane:
         self.line_perm_from_point_perm(perm)
         return perm
 
-    def line_perm_from_point_perm(self, perm):
-        """The induced line permutation; raises if incidence is broken."""
-        img = [0] * len(self.lines)
-        for li, pts in enumerate(self.points_on_line):
-            mapped = frozenset(perm.img[p] for p in pts)
-            target = self.line_index_by_set.get(mapped)
-            if target is None:
-                raise ValueError("point permutation does not preserve incidence")
-            img[li] = target
-        return Perm(img)
-
     def to_json_dict(self):
         return {
             "order": self.order,
@@ -149,19 +165,13 @@ class IncidencePlane:
             "lines": [sorted(s) for s in self.points_on_line],
         }
 
-    def incidence_csv(self):
-        rows = []
-        for pts in self.points_on_line:
-            rows.append(",".join("1" if i in pts else "0" for i in range(self.num_points)))
-        return "\n".join(rows)
 
-
-def pg2(q: int) -> IncidencePlane:
+def pg2(q: int) -> PG2:
     p, a = prime_power_decompose(q)
-    return IncidencePlane(field_make(p, a))
+    return PG2(field_make(p, a))
 
 
-def frobenius_collineation(plane: IncidencePlane) -> Perm:
+def frobenius_collineation(plane: PG2) -> Perm:
     """The coordinatewise u-th power map on PG(2, u^2); an involution whose
     fixed points form a subplane of order u."""
     F = plane.field
@@ -179,40 +189,12 @@ class FixedStructure:
 
 
 def _subplane_order(plane, point_set):
-    """The order u if the point set carries a subplane (with its induced
-    lines), else None.  Checked directly against the plane axioms."""
-    m = len(point_set)
-    if m < 7:
-        return None
-    u = None
-    for cand in range(2, isqrt(m) + 1):
-        if cand * cand + cand + 1 == m:
-            u = cand
-            break
-    if u is None:
-        return None
-    pts = set(point_set)
-    restricted = {}
-    for li, on in enumerate(plane.points_on_line):
-        meet = on & pts
-        if len(meet) >= 2:
-            restricted[li] = meet
-    if len(restricted) != m:
-        return None
-    if any(len(meet) != u + 1 for meet in restricted.values()):
-        return None
-    per_point = {p: 0 for p in pts}
-    for meet in restricted.values():
-        for p in meet:
-            per_point[p] += 1
-    if any(c != u + 1 for c in per_point.values()):
-        return None
-    lines = list(restricted.values())
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if len(lines[i] & lines[j]) != 1:
-                return None
-    return u
+    """The order u if the point set, with the lines it induces (the meets
+    of two or more of its points with the plane's lines), is a subplane,
+    else None: plane_order on the induced lines, relabelled 0..m-1."""
+    label = {p: i for i, p in enumerate(point_set)}
+    meets = (on.intersection(label) for on in plane.points_on_line)
+    return plane_order([frozenset(map(label.get, meet)) for meet in meets if len(meet) >= 2])
 
 
 def _fixed(perm):
@@ -340,7 +322,7 @@ def point_stabilizer(G):
     return FiniteGroup._from_elements(elems, gens)
 
 
-def gl3_collineation_generators(plane: IncidencePlane):
+def gl3_collineation_generators(plane: PG2):
     """The point permutations of three matrices generating the full linear
     group action on the plane: a torus generator, a transvection, and a
     coordinate 3-cycle."""
@@ -353,7 +335,7 @@ def gl3_collineation_generators(plane: IncidencePlane):
     return [plane.collineation(m) for m in mats]
 
 
-def counting_instance(plane: IncidencePlane):
+def counting_instance(plane: PG2):
     """(G, fr) for the counting check: G is generated by the linear group
     and the Baer involution fr, the Frobenius collineation."""
     fr = frobenius_collineation(plane)
@@ -383,6 +365,12 @@ def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
     subplane (PlaneGroup.conj_class_of certifies that each conjugate has
     its own), and the ratio is cross-checked by double counting fixed
     points over the class.
+
+    g lies in G if the walk reaches Fix(t) for an involutory generator t:
+    then Fix(t) = x . Fix(g) for some x in G, so x^-1 t x is an involutory
+    collineation fixing Fix(g) pointwise, which conj_class_of's certificate
+    proves is g alone: g = x^-1 t x.  Only when no such t is reached is G
+    closed, under its cap, to test membership.
     """
     plane = G.plane
     check = Check("plane-counting", {"q": plane.order})
@@ -392,12 +380,6 @@ def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
         return check.not_applicable(reason_square_order=0)
     if g.is_identity() or not (g * g).is_identity():
         return check.not_applicable(reason_involution=0)
-    try:
-        member = g in G.gens or g in G
-    except ResourceLimitError as exc:
-        return check.skipped(exc)
-    if not member:
-        raise ValueError("the candidate involution does not lie in the group")
     if not is_transitive(G):
         return check.not_applicable(reason_transitive=0)
     baer_count = u * u + u + 1
@@ -405,10 +387,14 @@ def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
     n_fixed = len(_fixed(g))
     if n_fixed != baer_count:
         return check.not_applicable(reason_conjugate_fixes=n_fixed, expected=baer_count)
+    involution_sets = {tuple(_fixed(t)) for t in G.gens if not t.is_identity() and (t * t).is_identity()}
     try:
         sets = G.conj_class_of(g)
+        member = not involution_sets.isdisjoint(sets) or g in G
     except ResourceLimitError as exc:
         return check.skipped(exc)
+    if not member:
+        raise ValueError("the candidate involution does not lie in the group")
     # per-point tallies of the fixed sets for the double count, and the
     # conjugates fixing point 0: the sets that start with it
     n_pts = plane.num_points

@@ -6,6 +6,7 @@ from tworank.elements import Mat, Perm
 from tworank.groups import closure, is_transitive
 from tworank.matgroup import GLContext, singer_element
 from tworank.plane import (
+    IncidencePlane,
     PlaneGroup,
     counting_identity_check,
     counting_instance,
@@ -17,7 +18,7 @@ from tworank.plane import (
     pg2,
     point_stabilizer,
 )
-from tworank.plane import _fixed, _fixing_collineations
+from tworank.plane import _fixed, _fixing_collineations, _subplane_order
 
 from oracles import perm_class, singer_collineation
 
@@ -39,12 +40,64 @@ def test_points_on_line_match_incidence_scan(q):
     # oracle: a point lies on a line iff their dot product is zero
     P = pg2(q)
     add, mul = P.field.add_code, P.field.mul_code
-    for li, (a, b, c) in enumerate(P.lines):
+    # line i is the dual of point i, so its coordinates are P.points[i]
+    for li, (a, b, c) in enumerate(P.points):
         scan = frozenset(
             i for i, (x, y, z) in enumerate(P.points)
             if add(add(mul(a, x), mul(b, y)), mul(c, z)) == 0
         )
         assert P.points_on_line[li] == scan
+
+
+FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+
+
+def test_fano_plane_from_its_lines():
+    P = IncidencePlane(FANO)
+    assert P.order == 2 and P.num_points == 7
+    assert P.lines_through_point[0] == (0, 1, 2)
+
+
+def test_swapped_point_breaks_only_the_pair_axiom():
+    # two lines trade a point each: every line keeps q + 1 points and every
+    # point q + 1 lines, but b now shares two lines with their meet
+    lines = [set(pts) for pts in pg2(25).points_on_line]
+    one, two = lines[0], next(L for L in lines[1:] if len(L & lines[0]) == 1)
+    a, b = min(one - two), min(two - one)
+    one ^= {a, b}
+    two ^= {a, b}
+    with pytest.raises(RuntimeError):
+        IncidencePlane(lines)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[1:],
+        lambda lines: [lines[0] - {min(lines[0])} | {len(lines)}] + lines[1:],
+        lambda lines: [lines[0] - {min(lines[0])} | {-1}] + lines[1:],
+        # the lines through the added point still cover the plane
+        lambda lines: [lines[0] | {min(lines[1] - lines[0])}] + lines[1:],
+    ],
+    ids=["line-dropped", "point-past-the-end", "negative-point", "point-added"],
+)
+def test_broken_pg9_lines_are_rejected(edit):
+    lines = list(pg2(9).points_on_line)
+    assert IncidencePlane(lines).order == 9
+    with pytest.raises(RuntimeError):
+        IncidencePlane(edit(lines))
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[(0, 1), (1, 2), (0, 2)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]],
+    ids=["triangle", "triples-of-four-points"],
+)
+def test_degenerate_covers_are_rejected(lines):
+    # every point's lines cover all points, but the triangle has order 1
+    # and four lines of three points are not q^2 + q + 1 = 7
+    with pytest.raises(RuntimeError):
+        IncidencePlane(lines)
 
 
 def test_pg2_even_q_propagates_field_error():
@@ -77,6 +130,22 @@ def test_frobenius_collineation_pg49():
     P = pg2(49)
     fr = frobenius_collineation(P)
     assert sum(i == j for i, j in enumerate(fr.img)) == 57  # 7^2 + 7 + 1
+    assert fixed_structure(P, fr).subplane_order == 7
+
+
+def test_frobenius_collineation_pg25():
+    P = pg2(25)
+    fs = fixed_structure(P, frobenius_collineation(P))
+    assert (fs.num_points, fs.subplane_order) == (31, 5)
+
+
+def test_thirteen_points_off_a_subplane_are_not_one():
+    P = pg2(9)
+    baer = _fixed(frobenius_collineation(P))
+    outside = next(i for i in range(P.num_points) if i not in baer)
+    assert _subplane_order(P, baer) == 3
+    assert _subplane_order(P, baer[1:] + [outside]) is None
+    assert _subplane_order(P, list(range(13))) is None
 
 
 def test_frobenius_rejects_nonsquare():
@@ -114,6 +183,18 @@ def test_counting_identity_on_pg9():
     assert r.counts["class_size"] == 7560
     assert r.counts["class_in_stabilizer"] == 1080
     assert r.counts["per_point_constant"] == 1
+
+
+def test_counting_identity_on_a_conjugate_that_is_no_generator():
+    # h = t fr t^-1: its class walk reaches Fix(fr), so h lies in G with
+    # no closure of G
+    G, fr = counting_instance(pg2(9))
+    t = next(g for g in G.gens if g * fr != fr * g)
+    h = (t * fr) * t.inv()
+    assert h not in G.gens
+    r = counting_identity_check(G, h)
+    assert r.verdict == "verified"
+    assert r.counts["class_size"] == 7560 and r.counts["ratio"] == 7
 
 
 def test_counting_identity_membership_guard():

@@ -33,6 +33,8 @@ DIGESTS = [
      "8bce468b4ad48db7b5a39d933b3eaf22824b8dfffabd459d647b439fdb2d5613"),
     ("plane build --q 9", "ddc403a5970136d5ebb39349208e52dea6bd70a5582c1a5bac992dd418643413"),
     ("plane build --q 25", "026a2248e0054f530a486fba4bb27e6170f36086c8c85d13b6276f077cdd9d23"),
+    # the incidence matrix, one row per line
+    ("plane build --q 9 --format csv", "1bc80c498e7e222d1c83ec2b8db0527460002453b511c1c39dc8139b00425c44"),
     ("verify lemma-a --n 2 --q 7 --mode exhaustive",
      "42f8705ef9cf50c084f7832f1258f6e61ceb19a638f3a41b2d2d1b875ea3bcde"),
     ("verify lemma-a --n 2 --q 7 --mode random --seed 1 --trials 100",
