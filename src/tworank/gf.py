@@ -45,25 +45,12 @@ def _poly_mulmod(u, v, modulus, p):
         if ui:
             for j, vj in enumerate(v):
                 out[i + j] = (out[i + j] + ui * vj) % p
-    return _poly_modred(out, modulus, p)
-
-
-def _poly_modred(u, modulus, p):
-    """Reduce u modulo the monic polynomial `modulus` over GF(p)."""
-    u = list(u)
-    deg_m = len(modulus) - 1
-    for i in range(len(u) - 1, deg_m - 1, -1):
-        c = u[i] % p
-        if c:
-            for j in range(deg_m + 1):
-                u[i - deg_m + j] = (u[i - deg_m + j] - c * modulus[j]) % p
-        u[i] = 0
-    return _poly_trim(u[:deg_m])
+    return _poly_trim(_poly_rem(out, modulus, p))
 
 
 def _poly_powmod(u, e, modulus, p):
     result = [1]
-    base = _poly_modred(u, modulus, p)
+    base = _poly_trim(_poly_rem(u, modulus, p))
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, modulus, p)
@@ -84,6 +71,7 @@ def _poly_gcd(u, v, p):
 
 
 def _poly_rem(u, v, p):
+    """u mod the monic polynomial v over GF(p), untrimmed."""
     u = list(u)
     dv = len(v) - 1
     while len(u) - 1 >= dv and u:

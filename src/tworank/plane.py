@@ -7,11 +7,12 @@ cap.  pg2(q) builds the subclass PG2: points are canonical projective
 triples over GF(q) (first nonzero coordinate 1), line i the dual of point
 i, incidence the zero dot product.  A collineation is the Perm it induces
 on points; PG2.collineation builds it from a semilinear map and checks
-that it preserves incidence.  A collineation group is a PlaneGroup: the
-FiniteGroup of those point permutations, closed lazily under a cap like
-any FiniteGroup.  The class of a Baer involution (as its fixed subplanes)
-and point orbits run straight off the generators, so point-transitive
-groups far above the element cap can still be checked.
+that it preserves incidence.  Coordinates stop there: a PlaneGroup, the
+FiniteGroup of such point permutations closed lazily under a cap, and its
+checks read only incidence.  The class of a Baer involution is walked as
+its fixed subplanes, certified by joins and meets alone, and point orbits
+run straight off the generators, so point-transitive groups far above the
+element cap can still be checked.
 """
 
 from collections import Counter
@@ -25,7 +26,7 @@ from .errors import ResourceLimitError
 from .gf import field_make
 from .groups import FiniteGroup, closure, is_transitive
 from .orbit import Action, orbit
-from .partarith import prime_power_decompose
+from .partarith import factorize, prime_power_decompose
 from .report import VERIFIED, Check, VerificationReport
 
 DEFAULT_CLASS_CAP = 500_000
@@ -207,18 +208,13 @@ def fixed_structure(plane: IncidencePlane, g: Perm) -> FixedStructure:
     sub = _subplane_order(plane, fp)
     x = plane.order
     u = isqrt(x)
+    named = {u * u + u + 1: "u2+u+1", u * u + 1: "u2+1", u * u + 2: "u2+2"}
     if u * u != x:
         spectrum = "other"
     elif len(fp) < u * u:
         spectrum = "below-u2"
-    elif len(fp) == u * u + u + 1:
-        spectrum = "u2+u+1"
-    elif len(fp) == u * u + 1:
-        spectrum = "u2+1"
-    elif len(fp) == u * u + 2:
-        spectrum = "u2+2"
     else:
-        spectrum = "other"
+        spectrum = named.get(len(fp), "other")
     return FixedStructure(len(fp), len(fl), sub, spectrum)
 
 
@@ -244,24 +240,15 @@ class PlaneGroup(FiniteGroup):
 
         Fix(x h x^-1) = x . Fix(h), so the fixed sets of the class are the
         G-orbit of F = Fix(perm).  The map h -> Fix(h) is one-to-one on the
-        class, and this is certified before the walk, not assumed:
-
-        - a conjugate with fixed set F is an involution of K, the pointwise
-          stabilizer of F in G;
-        - each generator preserves incidence (checked), so every element of
-          G is a collineation, semilinear by the fundamental theorem of
-          projective geometry;
-        - F contains a frame f1..f4, no three collinear (else this raises);
-          with M mapping e1, e2, e3, (1, 1, 1) to it, the semilinear maps
-          fixing the frame are the a maps x -> M sigma^k(M)^-1 sigma^k(x),
-          sigma the Frobenius x -> x^p and k = 0..a-1;
-        - so K lies among those of them that fix F pointwise
-          (_fixing_collineations), and perm must be their only involution,
-          else this raises.
-
-        Then if x perm x^-1 and y perm y^-1 have one fixed set x . F = y . F,
-        the conjugate x^-1 y perm y^-1 x fixes F pointwise, so it is perm,
-        and the two conjugates are equal.
+        class, and this is certified before the walk, not assumed.  Each
+        generator preserves incidence (checked), so every element of G is a
+        collineation and commutes with join and meet; a conjugate fixing F
+        pointwise is then among _fixing_collineations(F), which raises
+        unless F and one more point generate the plane, and perm must be
+        their only involution, else this raises.  So if x perm x^-1 and
+        y perm y^-1 have one fixed set x . F = y . F, the conjugate
+        x^-1 y perm y^-1 x fixes F pointwise, so it is perm, and the two
+        conjugates are equal.
         """
         plane = self.plane
         for gen in self.gens:
@@ -281,32 +268,57 @@ def _image_set(points, img):
 
 
 def _fixing_collineations(plane, pts):
-    """The collineations that fix every point of `pts`, found among the a
-    that fix a frame in pts (see PlaneGroup.conj_class_of); raises if pts
-    holds no frame."""
-    F = plane.field
-    vecs = [plane.points[i] for i in pts]
+    """The collineations fixing every point of `pts`, from joins and meets
+    alone.  A straight-line program reaches each point from pts and one
+    more point p as the meet of two lines ab, cd through earlier points
+    (this raises unless it reaches all).  A collineation h fixing pts
+    commutes with join and meet, so it is the program run from p -> h(p),
+    where h(p) lies off pts, on each line through p holding two of them.
+    Each run is kept if it is a permutation that preserves incidence."""
+    n, on = plane.num_points, plane.points_on_line
+    lines_at = [frozenset(ls) for ls in plane.lines_through_point]
+    if len(pts) == n:
+        return [Perm.identity_of(n)]
+    fixed = set(pts)
+    p = min(set(range(n)) - fixed)
+    known, seen, first, via = [*pts, p], {*pts, p}, {}, {}
+    program = []  # (x, a, b, c, d): x is the meet of the lines ab and cd
+    for a in known:  # grows as points become known
+        for line in lines_at[a]:
+            if first.setdefault(line, a) in (a, None):
+                continue  # a is its first known point, or it is done
+            ab, first[line] = (first[line], a), None
+            for x in on[line].difference(seen):
+                if via.setdefault(x, ab) != ab:  # x is on two known lines
+                    program.append((x, *via[x], *ab))
+                    seen.add(x)
+                    known.append(x)
+    if len(known) != n:
+        raise RuntimeError("the fixed points and one more do not generate the plane")
 
-    def det(u, v, w):
-        return Mat(F, 3, u + v + w, _checked=True).det()
+    def run(hp):
+        img, used = list(range(n)), {*pts, hp}
+        img[p] = hp
+        for x, a, b, c, d in program:
+            (l1,) = lines_at[img[a]] & lines_at[img[b]]  # img is one-to-one so far
+            (l2,) = lines_at[img[c]] & lines_at[img[d]]
+            meet = on[l1] & on[l2]
+            if meet & used:  # not one-to-one, or l1 = l2, whose meet holds img[a]
+                return None
+            (img[x],) = meet
+            used |= meet
+        h = Perm(img, _checked=True)
+        try:
+            plane.line_perm_from_point_perm(h)
+        except ValueError:
+            return None
+        return h
 
-    f1, f2 = vecs[:2]
-    off = [v for v in vecs if det(f1, f2, v)]  # off the line f1 f2
-    frame = next(((f3, f4) for f3 in off[:1] for f4 in off if det(f1, f3, f4) and det(f2, f3, f4)), None)
-    if frame is None:
-        raise RuntimeError("the fixed points contain no frame")
-    f3, f4 = frame
-    # columns c_j f_j with c1 f1 + c2 f2 + c3 f3 = f4
-    B = Mat.from_rows(F, list(zip(f1, f2, f3)))
-    c = [F.dot(row, f4) for row in B.inv().rows()]
-    M = Mat.from_rows(F, [[F.mul_code(b, cj) for b, cj in zip(row, c)] for row in B.rows()])
-    out, Mk = [], M
-    for k in range(F.a):
-        h = plane.collineation(M * Mk.inv(), k)
-        if all(h.img[i] == i for i in pts):
-            out.append(h)
-        Mk = Mk.frobenius_entrywise()
-    return out
+    candidates = set(range(n)) - fixed
+    for line in lines_at[p]:
+        if len(on[line] & fixed) >= 2:
+            candidates &= on[line]
+    return [h for h in map(run, sorted(candidates)) if h is not None]
 
 
 def point_stabilizer(G):
@@ -345,8 +357,6 @@ def counting_instance(plane: PG2):
 def baer_prime_condition(u: int) -> dict:
     """Hypothesis check on the subplane point count m = u^2 + u + 1: every
     prime divisor is 1 mod 3 or equals 3, and 9 does not divide m."""
-    from .partarith import factorize
-
     m = u * u + u + 1
     factors = factorize(m)
     return {

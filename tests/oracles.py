@@ -9,11 +9,14 @@ of a small ambient with no conjugacy shortcut, the lemma-a check on a
 FiniteGroup of Mat elements, the Singer collineation of PG(2, q), the
 tower identities' indices from centralizers and the quotient group,
 the fixed-point transitivity counts from scans over every element of G,
-and the conjugacy class of a collineation as whole point permutations.
+the conjugacy class of a collineation as whole point permutations, and
+the collineations of PG(2, q) fixing a point set pointwise from the
+semilinear maps that fix a frame in it.
 """
 
 from collections import deque
 
+from tworank.elements import Mat
 from tworank.errors import ResourceLimitError
 from tworank.lemma_a import _verdict
 from tworank.matgroup import GLContext, RowCodec, singer_element
@@ -126,6 +129,41 @@ def singer_collineation(plane):
     if coll.order() != q * q + q + 1:
         raise RuntimeError("Singer point order is off")
     return coll
+
+
+def semilinear_fixers(plane, pts):
+    """The collineations of the PG2 `plane` that fix every point of `pts`,
+    by the fundamental theorem of projective geometry: every collineation
+    is semilinear, and pts must contain a frame f1..f4, no three collinear
+    (else this raises).  With M mapping e1, e2, e3, (1, 1, 1) to it, the
+    semilinear maps fixing the frame are the a maps
+    x -> M sigma^k(M)^-1 sigma^k(x), sigma the Frobenius x -> x^p and
+    k = 0..a-1; those of them that fix all of pts are returned, in k order.
+    Checked against plane._fixing_collineations, which uses only joins and
+    meets."""
+    F = plane.field
+    vecs = [plane.points[i] for i in pts]
+
+    def det(u, v, w):
+        return Mat(F, 3, u + v + w, _checked=True).det()
+
+    f1, f2 = vecs[:2]
+    off = [v for v in vecs if det(f1, f2, v)]  # off the line f1 f2
+    frame = next(((f3, f4) for f3 in off[:1] for f4 in off if det(f1, f3, f4) and det(f2, f3, f4)), None)
+    if frame is None:
+        raise RuntimeError("the fixed points contain no frame")
+    f3, f4 = frame
+    # columns c_j f_j with c1 f1 + c2 f2 + c3 f3 = f4
+    B = Mat.from_rows(F, list(zip(f1, f2, f3)))
+    c = [F.dot(row, f4) for row in B.inv().rows()]
+    M = Mat.from_rows(F, [[F.mul_code(b, cj) for b, cj in zip(row, c)] for row in B.rows()])
+    out, Mk = [], M
+    for k in range(F.a):
+        h = plane.collineation(M * Mk.inv(), k)
+        if all(h.img[i] == i for i in pts):
+            out.append(h)
+        Mk = Mk.frobenius_entrywise()
+    return out
 
 
 def perm_class(G, g):

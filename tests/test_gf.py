@@ -40,6 +40,21 @@ def test_gf9_modulus_is_lexicographically_first():
     assert F9.modulus == (1, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "p, a, modulus",
+    [
+        (3, 4, (1, 0, 1, 1, 1)),
+        (5, 4, (1, 0, 1, 1, 1)),
+        (7, 4, (1, 0, 0, 1, 1)),
+        (3, 6, (1, 0, 0, 0, 1, 1, 1)),
+    ],
+)
+def test_degree_four_and_six_moduli_pinned(p, a, modulus):
+    # the irreducibility search past degree 3 (x^(p^a) = x and the subfield
+    # gcds) picks these; little-endian coefficients, leading 1 last
+    assert field_make(p, a).modulus == modulus
+
+
 def test_even_p_rejected():
     with pytest.raises(ValueError):
         field_make(2, 1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tworank import constructions as lib
@@ -20,7 +22,7 @@ from tworank.plane import (
 )
 from tworank.plane import _fixed, _fixing_collineations, _subplane_order
 
-from oracles import perm_class, singer_collineation
+from oracles import perm_class, semilinear_fixers, singer_collineation
 
 
 def test_pg2_9_sizes():
@@ -250,29 +252,81 @@ def test_fixed_set_walk_matches_perm_class_on_pg9():
 def test_certificate_pointwise_stabilizer_is_identity_and_frobenius(q):
     P = pg2(q)
     fr = frobenius_collineation(P)
-    K = _fixing_collineations(P, tuple(_fixed(fr)))
+    F = tuple(_fixed(fr))
+    K = _fixing_collineations(P, F)
     assert K == [Perm.identity_of(P.num_points), fr]
+    assert K == semilinear_fixers(P, F)
 
 
 def test_certificate_keeps_only_pointwise_fixers():
-    # fr fixes the frame but moves a point outside its subplane
+    # fr fixes its subplane but moves the extra point
     P = pg2(9)
     fr = frobenius_collineation(P)
     F = _fixed(fr)
     extra = next(i for i in range(P.num_points) if fr.img[i] != i)
-    assert _fixing_collineations(P, tuple(sorted(F + [extra]))) == [Perm.identity_of(91)]
+    pts = tuple(sorted(F + [extra]))
+    K = _fixing_collineations(P, pts)
+    assert K == [Perm.identity_of(91)]
+    assert K == semilinear_fixers(P, pts)
+
+
+def test_certificate_matches_the_semilinear_oracle_on_random_point_sets():
+    # five random points of PG(2, 9): wherever they hold a frame and, with
+    # one more point, generate the plane, both find the same collineations
+    P = pg2(9)
+    rng = random.Random(1)
+    compared = 0
+    for _ in range(40):
+        pts = tuple(sorted(rng.sample(range(P.num_points), 5)))
+        try:
+            got, want = _fixing_collineations(P, pts), semilinear_fixers(P, pts)
+        except RuntimeError:
+            continue
+        assert got == want
+        compared += 1
+    assert compared >= 20
 
 
 def test_certificate_rejects_non_baer_elements():
     P = pg2(9)
     G, fr = counting_instance(P)
-    with pytest.raises(RuntimeError, match="frame"):
-        G.conj_class_of(_homology(P))  # its fixed points are a line and one point
+    # a homology fixes its axis and centre pointwise, and is the only
+    # involution among the q - 1 = 8 homologies that do: its class is the
+    # 91 * 81 antiflags (centre, axis)
+    hom = _homology(P)
+    assert len(_fixing_collineations(P, tuple(_fixed(hom)))) == 8
+    sets = G.conj_class_of(hom)
+    assert len(sets) == 7371
+    assert set(sets) == {tuple(_fixed(h)) for h in perm_class(G, hom)}
+    with pytest.raises(RuntimeError, match="generate"):
+        _fixing_collineations(P, sorted(P.points_on_line[0]))  # a line and one point
     with pytest.raises(RuntimeError, match="only one"):
         G.conj_class_of(G.identity)  # fixes every point, not an involution
     bad = PlaneGroup(P, [fr, Perm.from_cycles(91, (0, 1))])
     with pytest.raises(ValueError, match="incidence"):
         bad.conj_class_of(fr)
+
+
+def test_counting_on_a_relabelled_incidence_plane():
+    # PG(2, 9) with its points shuffled and no coordinates: the class walk
+    # and the counting check need incidence alone
+    P = pg2(9)
+    G, fr = counting_instance(P)
+    img = list(range(P.num_points))
+    random.Random(9).shuffle(img)
+    sigma = Perm(img)
+    lines = [{sigma.img[x] for x in pts} for pts in P.points_on_line]
+    random.Random(10).shuffle(lines)
+    Q = IncidencePlane(lines)
+    H = PlaneGroup(Q, [sigma * g * sigma.inv() for g in G.gens])
+    fr_q = sigma * fr * sigma.inv()
+    back = sigma.inv().img
+    sets = H.conj_class_of(fr_q)
+    assert len(sets) == 7560
+    assert {tuple(sorted(back[x] for x in S)) for S in sets} == set(G.conj_class_of(fr))
+    r = counting_identity_check(H, fr_q)
+    assert r.verdict == "verified"
+    assert r.counts == counting_identity_check(G, fr).counts
 
 
 def test_singer_collineation():
