@@ -3,9 +3,10 @@
 These are the concrete (group, subgroup) instances the fixed-point
 transitivity, permutation-bound and quaternion-recognition batteries run
 over: small symmetric/dihedral actions with known behaviour on both sides
-of each equivalence, Moebius actions of PSL_2(p), and the order-546
-normalizer of a Singer subgroup on PG(2, 9), whose order-2 element is a
-Baer involution.
+of each equivalence, Moebius actions of PSL_2(p), and the normalizer of a
+Singer cycle of PG(2, q), built on integers from a planar difference set;
+the batteries run it at q = 9, where it has order 546 and its involutions
+are Baer involutions.
 """
 
 from itertools import combinations
@@ -14,8 +15,9 @@ from math import isqrt
 from . import constructions as lib
 from .elements import Perm
 from .groups import FiniteGroup, closure
-from .matgroup import GLContext, _twist_elements, singer_element
+from .matgroup import GLContext, singer_element
 from .plane import (
+    IncidencePlane,
     PlaneGroup,
     counting_identity_check,
     counting_instance,
@@ -46,23 +48,25 @@ def pair_action_of_s4():
     return G, transposition_image
 
 
-def singer_normalizer_group(plane):
-    """The 91:6 normalizer of a Singer subgroup on PG(2, 9), generated by
-    the Singer collineation and a semilinear element cubing it."""
-    F = plane.field
-    smat = singer_element(GLContext(3, F))
-    s = plane.collineation(smat)
-    twisted = smat.frobenius_entrywise()
-    target = smat**3
-    A = next(iter(_twist_elements(F, twisted, target)), None)
-    if A is None:
-        raise RuntimeError("no semilinear Singer-normalizing element found")
-    nu = plane.collineation(A, frob_power=1)
-    if (nu * s) * nu.inv() != s**3:
-        raise RuntimeError("normalizer element does not cube the Singer cycle")
-    G = PlaneGroup(plane, [s, nu], cap=5000)
-    if G.order != 546:
-        raise RuntimeError(f"Singer normalizer has order {G.order}, expected 546")
+def singer_normalizer_group(q):
+    """The normalizer of a Singer cycle s of PG(2, q), q = p^a odd, on
+    integers: with point s^i(0) of pg2(q) labelled i, the labels of line 0
+    are a planar difference set D, the lines are D + j on Z_v, and the
+    group is x -> x + 1 and the multiplier x -> px, of order 3av (Singer,
+    Trans. AMS 43, 1938; M. Hall, Duke Math. J. 14, 1947)."""
+    P = pg2(q)
+    F, v = P.field, P.num_points
+    s = P.collineation(singer_element(GLContext(3, F)))
+    cycles = s.cycles()
+    if [len(c) for c in cycles] != [v]:
+        raise RuntimeError("the Singer collineation is not one v-cycle")
+    label = {x: i for i, x in enumerate(cycles[0])}  # 0, s(0), s^2(0), ...
+    plane = IncidencePlane([[(label[x] + j) % v for x in P.points_on_line[0]] for j in range(v)])
+    multiplier = Perm([F.p * x % v for x in range(v)])
+    plane.line_perm_from_point_perm(multiplier)
+    G = PlaneGroup(plane, [Perm([(x + 1) % v for x in range(v)]), multiplier])
+    if G.order != 3 * F.a * v:
+        raise RuntimeError(f"Singer normalizer has order {G.order}, expected {3 * F.a * v}")
     return G
 
 
@@ -74,22 +78,17 @@ def _stabilizer_subgroups(G):
         d = h.order()
         if d not in out:
             out[d] = closure([h])
-    return stab, out
+    return out
 
 
 def fixtrans_battery():
     """At least ten (G, K) instances exercising both truth values of the
     fixed-point transitivity equivalence."""
     reports = []
-    SN = singer_normalizer_group(pg2(9))
-    stab, cyclics = _stabilizer_subgroups(SN)
-    ident_group = FiniteGroup._from_elements([SN.identity], [])
-    instances = [("pg-singer-normalizer/K=1", SN, ident_group)]
-    for d in sorted(cyclics):
-        if d > 1:
-            instances.append((f"pg-singer-normalizer/K=C{d}", SN, cyclics[d]))
-    if stab.order not in cyclics:
-        instances.append(("pg-singer-normalizer/K=stab", SN, stab))
+    SN = singer_normalizer_group(9)
+    instances = []  # G_0 = <x -> px> is cyclic, so these are all its subgroups
+    for d, K in sorted(_stabilizer_subgroups(SN).items()):
+        instances.append((f"pg-singer-normalizer/K={f'C{d}' if d > 1 else 1}", SN, K))
 
     s4 = lib.symmetric(4)
     instances.append(("s4-natural/K=C2", s4, closure([Perm.from_cycles(4, (1, 2))])))
@@ -180,8 +179,7 @@ def quaternion_battery():
         check.params.update({"tag": tag, **info})
         ok = tag == expected
         reports.append(check.result(ok, {"match": int(ok)}, {"tag": tag, "info": info}))
-    plane = pg2(9)
-    SN = singer_normalizer_group(plane)
+    SN = singer_normalizer_group(9)
     witness, rep = odd_transitive_search(SN)
     if witness is not None:
         rep.counts["order_divides_273"] = int(273 % witness.order == 0)

@@ -203,10 +203,6 @@ class Mat(GroupElement):
         c = vals[0]
         return all(vals[i * n + j] == (c if i == j else 0) for i in range(n) for j in range(n))
 
-    def frobenius_entrywise(self):
-        F = self.field
-        return Mat(F, self.n, tuple(F.frob_code(v) for v in self.vals), _checked=True)
-
     def key(self):
         return ("mat", self.field.q, self.n, self.vals)
 

@@ -22,6 +22,7 @@ stream (Borel, monomial, Singer normalizer) are codes too.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .elements import Mat, Perm
 from .errors import ResourceLimitError
@@ -228,9 +229,7 @@ def _twist_elements(field, s, s_target):
     basis = _twist_kernel_basis(field, s, s_target)
     n = s.n
     nn = n * n
-    from itertools import product as iter_product
-
-    for combo in iter_product(range(field.q), repeat=len(basis)):
+    for combo in product(range(field.q), repeat=len(basis)):
         if all(u == 0 for u in combo):
             continue
         vec = [0] * nn
@@ -642,14 +641,12 @@ def singer_element(ctx: GLContext) -> Mat:
     """A cyclic torus generator of order q^n - 1: the companion matrix of
     the first primitive monic polynomial of degree n, scanning the
     coefficients c_{n-1}, ..., c_0 lexicographically."""
-    from itertools import product as iter_product
-
     field, n = ctx.field, ctx.n
     q = field.q
     full = q**n - 1
     prime_divs = list(factorize(full))
     ident = Mat.identity_of(field, n)
-    for coeffs in iter_product(range(q), repeat=n):
+    for coeffs in product(range(q), repeat=n):
         # polynomial x^n + c_{n-1} x^{n-1} + ... + c_0 with digits ordered
         # most-significant first
         c = tuple(reversed(coeffs))

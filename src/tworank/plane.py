@@ -6,12 +6,13 @@ plane_order is the one axiom check of every plane and subplane, with no
 cap.  pg2(q) builds the subclass PG2: points are canonical projective
 triples over GF(q) (first nonzero coordinate 1), line i the dual of point
 i, incidence the zero dot product.  A collineation is the Perm it induces
-on points; PG2.collineation builds it from a semilinear map and checks
-that it preserves incidence.  Coordinates stop there: a PlaneGroup, the
-FiniteGroup of such point permutations closed lazily under a cap, and its
-checks read only incidence.  The class of a Baer involution is walked as
-its fixed subplanes, certified by joins and meets alone, and point orbits
-run straight off the generators, so point-transitive groups far above the
+on points; PG2.collineation builds it from a linear map, and
+frobenius_collineation from the field automorphism, each checked against
+incidence.  Coordinates stop there: a PlaneGroup, the FiniteGroup of such
+point permutations closed lazily under a cap, and its checks read only
+incidence.  The class of a Baer involution is walked as its fixed
+subplanes, certified by joins and meets alone, and point orbits run
+straight off the generators, so point-transitive groups far above the
 element cap can still be checked.
 """
 
@@ -141,20 +142,14 @@ class PG2(IncidencePlane):
                 return tuple(F.mul_code(inv, x) for x in vec)
         raise ValueError("zero vector does not define a point")
 
-    def collineation(self, mat, frob_power=0):
-        """The point permutation of the semilinear map
-        v -> M * v^(p^frob_power); raises if it breaks incidence."""
+    def collineation(self, mat):
+        """The point permutation of the linear map v -> M * v; raises if it
+        breaks incidence."""
         F = self.field
         if mat.field is not F or mat.n != 3:
             raise ValueError("matrix must be 3x3 over the plane's field")
-        img = []
-        rows, dot = mat.rows(), F.dot
-        for pt in self.points:
-            v = pt
-            for _ in range(frob_power % F.a):
-                v = tuple(F.frob_code(c) for c in v)
-            img.append(self.point_index[self.normalize([dot(row, v) for row in rows])])
-        perm = Perm(img)
+        rows = mat.rows()
+        perm = Perm([self.point_index[self.normalize([F.dot(r, v) for r in rows])] for v in self.points])
         self.line_perm_from_point_perm(perm)
         return perm
 
@@ -173,12 +168,15 @@ def pg2(q: int) -> PG2:
 
 
 def frobenius_collineation(plane: PG2) -> Perm:
-    """The coordinatewise u-th power map on PG(2, u^2); an involution whose
-    fixed points form a subplane of order u."""
+    """The coordinatewise u-th power map on PG(2, u^2), u = p^(a/2); an
+    involution whose fixed points form a subplane of order u.  x -> x^p
+    fixes 0 and 1, so it keeps every canonical triple canonical."""
     F = plane.field
     if F.a % 2:
         raise ValueError(f"plane order {plane.order} is not a square")
-    return plane.collineation(Mat.identity_of(F, 3), F.a // 2)
+    sigma = Perm([plane.point_index[tuple(map(F.frob_code, v))] for v in plane.points])
+    plane.line_perm_from_point_perm(sigma)  # so its powers preserve incidence too
+    return sigma ** (F.a // 2)
 
 
 @dataclass
@@ -281,29 +279,39 @@ def _fixing_collineations(plane, pts):
         return [Perm.identity_of(n)]
     fixed = set(pts)
     p = min(set(range(n)) - fixed)
-    known, seen, first, via = [*pts, p], {*pts, p}, {}, {}
-    program = []  # (x, a, b, c, d): x is the meet of the lines ab and cd
+    known, seen, first, via, ends, slot = [*pts, p], {*pts, p}, {}, {}, {}, {}
+    # (a, b): join two earlier points; (x, i, j): x is the meet of joins i
+    # and j.  Each line is joined once, when a point first needs it.
+    program = []
     for a in known:  # grows as points become known
         for line in lines_at[a]:
             if first.setdefault(line, a) in (a, None):
                 continue  # a is its first known point, or it is done
-            ab, first[line] = (first[line], a), None
+            ends[line], first[line] = (first[line], a), None
             for x in on[line].difference(seen):
-                if via.setdefault(x, ab) != ab:  # x is on two known lines
-                    program.append((x, *via[x], *ab))
+                if via.setdefault(x, line) != line:  # x is on two known lines
+                    for ln in (via[x], line):
+                        if ln not in slot:
+                            slot[ln] = len(slot)
+                            program.append(ends[ln])
+                    program.append((x, slot[via[x]], slot[line]))
                     seen.add(x)
                     known.append(x)
     if len(known) != n:
         raise RuntimeError("the fixed points and one more do not generate the plane")
 
     def run(hp):
-        img, used = list(range(n)), {*pts, hp}
+        img, used, joins = list(range(n)), {*pts, hp}, []
         img[p] = hp
-        for x, a, b, c, d in program:
-            (l1,) = lines_at[img[a]] & lines_at[img[b]]  # img is one-to-one so far
-            (l2,) = lines_at[img[c]] & lines_at[img[d]]
-            meet = on[l1] & on[l2]
-            if meet & used:  # not one-to-one, or l1 = l2, whose meet holds img[a]
+        for step in program:
+            if len(step) == 2:
+                a, b = step
+                (line,) = lines_at[img[a]] & lines_at[img[b]]  # img is one-to-one so far
+                joins.append(on[line])
+                continue
+            x, i, j = step
+            meet = joins[i] & joins[j]
+            if meet & used:  # not one-to-one, or two equal joins, which hold a used point
                 return None
             (img[x],) = meet
             used |= meet

@@ -11,12 +11,13 @@ tower identities' indices from centralizers and the quotient group,
 the fixed-point transitivity counts from scans over every element of G,
 the conjugacy class of a collineation as whole point permutations, and
 the collineations of PG(2, q) fixing a point set pointwise from the
-semilinear maps that fix a frame in it.
+semilinear maps that fix a frame in it, with the entrywise Frobenius of
+a Mat that those maps need.
 """
 
 from collections import deque
 
-from tworank.elements import Mat
+from tworank.elements import Mat, Perm
 from tworank.errors import ResourceLimitError
 from tworank.lemma_a import _verdict
 from tworank.matgroup import GLContext, RowCodec, singer_element
@@ -157,13 +158,21 @@ def semilinear_fixers(plane, pts):
     B = Mat.from_rows(F, list(zip(f1, f2, f3)))
     c = [F.dot(row, f4) for row in B.inv().rows()]
     M = Mat.from_rows(F, [[F.mul_code(b, cj) for b, cj in zip(row, c)] for row in B.rows()])
+    # sigma fixes 0 and 1, so it keeps every canonical triple canonical
+    sigma = Perm([plane.point_index[tuple(map(F.frob_code, v))] for v in plane.points])
     out, Mk = [], M
     for k in range(F.a):
-        h = plane.collineation(M * Mk.inv(), k)
+        h = plane.collineation(M * Mk.inv()) * sigma**k
         if all(h.img[i] == i for i in pts):
             out.append(h)
-        Mk = Mk.frobenius_entrywise()
+        Mk = frobenius_entrywise(Mk)
     return out
+
+
+def frobenius_entrywise(mat):
+    """sigma(M), the Frobenius x -> x^p applied to every entry of M."""
+    F = mat.field
+    return Mat(F, mat.n, tuple(F.frob_code(v) for v in mat.vals), _checked=True)
 
 
 def perm_class(G, g):

@@ -205,9 +205,9 @@ def test_criterion_13_structure_recognition_and_odd_witness():
     tag, info = classify_quaternion_structure(lib.sl2(7))
     assert tag == "SL2qD" and info["q"] == 7 and info["d"] == 1
     from tworank.acceptance_instances import singer_normalizer_group
-    from tworank.plane import odd_transitive_search, pg2
+    from tworank.plane import odd_transitive_search
 
-    SN = singer_normalizer_group(pg2(9))
+    SN = singer_normalizer_group(9)
     witness, rep = odd_transitive_search(SN)
     assert rep.verdict == "verified"
     assert witness is not None

@@ -22,7 +22,7 @@ from tworank.dense import DenseGroup
 from tworank.groups import FiniteGroup, closure
 from tworank.lemma_a import lemma_a_campaign
 from tworank.matgroup import sylow2_gl, wreath_involution_count
-from tworank.plane import fixpoint_transitivity_check, pg2, point_stabilizer
+from tworank.plane import fixpoint_transitivity_check, point_stabilizer
 from tworank.tower import random_identity_campaign
 
 from oracles import (
@@ -248,7 +248,7 @@ def test_fixtrans_counts_match_scan_oracle_on_battery(monkeypatch):
     [
         lambda: acceptance_instances.psl2_moebius(7),
         lambda: lib.symmetric(5),
-        lambda: acceptance_instances.singer_normalizer_group(pg2(9)),
+        lambda: acceptance_instances.singer_normalizer_group(9),
     ],
     ids=["psl2-7-moebius", "s5-natural", "pg9-singer-normalizer"],
 )

@@ -1,7 +1,8 @@
-"""Every module-level function and class in src/tworank is used by the
-program itself: referenced, outside its own definition, from src/tworank,
-from the benchmark under perfbench/, or from pyproject.toml's script
-entry.  Code that only tests reach belongs in tests/ (see oracles.py)."""
+"""Every module-level function and class in src/tworank, and every
+non-dunder method of its classes, is used by the program itself:
+referenced, outside its own definition, from src/tworank, from the
+benchmark under perfbench/, or from pyproject.toml's script entry.  Code
+that only tests reach belongs in tests/ (see oracles.py)."""
 
 import ast
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tworank"
 
-# Waits for its verifier subcommand (ROADMAP item 3); nothing calls it yet.
+# Waits for its verifier subcommand (ROADMAP item 7); nothing calls it yet.
 # Wiring it into `verify counting` would print two reports where the
 # benchmark's plane check unpacks exactly one (`(rep,) = reports` in
 # perfbench/workloads.py), so it lands together with a benchmark change.
@@ -42,10 +43,14 @@ def _script_entries():
     return set(re.findall(r":(\w+)", section))
 
 
-def test_no_module_level_name_is_test_only():
-    statements = []  # (file, top-level statement)
+def _statements():
+    """(file, top-level statement) for src/tworank and perfbench/."""
     for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        statements.extend((path, stmt) for stmt in ast.parse(path.read_text()).body)
+        yield from ((path, stmt) for stmt in ast.parse(path.read_text()).body)
+
+
+def test_no_module_level_name_is_test_only():
+    statements = list(_statements())
     referenced_by = [(path, stmt, _names_in(stmt)) for path, stmt in statements]
     entries = _script_entries()
     unreferenced = []
@@ -63,3 +68,25 @@ def test_no_module_level_name_is_test_only():
     assert sorted(set(unreferenced) - ALLOWED_UNREFERENCED) == []
     # the allow-list holds only names that really are unreferenced
     assert ALLOWED_UNREFERENCED <= set(unreferenced)
+
+
+def test_no_method_is_test_only():
+    """A method counts as used when its name occurs anywhere outside its
+    own body: each class is split into the statements of its body."""
+    units = []  # (file, class name or None, statement)
+    for path, stmt in _statements():
+        if isinstance(stmt, ast.ClassDef):
+            units.extend((path, stmt.name, sub) for sub in stmt.body)
+        else:
+            units.append((path, None, stmt))
+    names = [(node, _names_in(node)) for _, _, node in units]
+    unreferenced = []
+    for path, cls, node in units:
+        if path.parent != SRC or cls is None or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if not any(other is not node and name in used for other, used in names):
+            unreferenced.append(f"{path.stem}.{cls}.{name}")
+    assert unreferenced == []

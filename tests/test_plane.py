@@ -7,6 +7,7 @@ from tworank.acceptance_instances import pair_action_of_s4, psl2_moebius, singer
 from tworank.elements import Mat, Perm
 from tworank.groups import closure, is_transitive
 from tworank.matgroup import GLContext, singer_element
+from tworank.partarith import prime_power_decompose
 from tworank.plane import (
     IncidencePlane,
     PlaneGroup,
@@ -354,18 +355,49 @@ def test_singer_matrix_pinned(q, rows):
     assert singer_collineation(P) == P.collineation(s)
 
 
-def test_singer_normalizer_group_structure():
-    SN = singer_normalizer_group(pg2(9))
-    assert SN.order == 546
+@pytest.mark.parametrize(
+    "q, order, baer",
+    [(3, 39, None), (5, 93, None), (7, 171, None), (9, 546, (13, 3)), (25, 3906, (31, 5))],
+    ids=["3", "5", "7", "9", "25"],
+)
+def test_singer_normalizer_group_structure(q, order, baer):
+    """|G| = 3a(q^2 + q + 1); for q = p^a = u^2 the multiplier
+    x -> p^(3a/2) x is a Baer involution of G."""
+    SN = singer_normalizer_group(q)
+    assert SN.order == order
     assert is_transitive(SN)
-    invs = SN.involutions()
-    assert invs
-    fs = fixed_structure(SN.plane, invs[0])
-    assert fs.num_points == 13 and fs.subplane_order == 3
+    if baer is None:
+        return
+    v = SN.plane.num_points
+    p, a = prime_power_decompose(q)
+    b = Perm([p ** (3 * a // 2) * x % v for x in range(v)])
+    assert b in SN and not b.is_identity() and (b * b).is_identity()
+    fs = fixed_structure(SN.plane, b)
+    assert (fs.num_points, fs.subplane_order) == baer
 
 
-def test_fixpoint_transitivity_baer_instance():
-    SN = singer_normalizer_group(pg2(9))
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_singer_normalizer_plane_is_pg2_relabelled(q):
+    """With point s^i(0) of pg2(q) labelled i, pg2(q)'s lines are exactly
+    the builder's lines D + j; D with its largest element moved up by one
+    is no difference set, and IncidencePlane refuses it."""
+    SN = singer_normalizer_group(q)
+    P = pg2(q)
+    s, v = singer_collineation(P), P.num_points
+    label, x = [0] * v, 0
+    for i in range(v):
+        label[x], x = i, s.img[x]
+    relabelled = {frozenset(label[x] for x in pts) for pts in P.points_on_line}
+    assert relabelled == set(SN.plane.points_on_line)
+    D = sorted(SN.plane.points_on_line[0])
+    mutant = D[:-1] + [D[-1] + 1]
+    with pytest.raises(RuntimeError, match="axioms"):
+        IncidencePlane([[(d + j) % v for d in mutant] for j in range(v)])
+
+
+@pytest.mark.parametrize("q, fix, normalizer", [(9, 13, 78), (25, 31, 186)], ids=["9", "25"])
+def test_fixpoint_transitivity_baer_instance(q, fix, normalizer):
+    SN = singer_normalizer_group(q)
     stab = point_stabilizer(SN)
     assert stab.order == 6
     k2 = closure([next(h for h in stab.elements if h.order() == 2)])
@@ -373,7 +405,8 @@ def test_fixpoint_transitivity_baer_instance():
     assert r.verdict == "verified"
     assert r.counts["normalizer_transitive_on_fix"] == 1
     assert r.counts["fusion_equal"] == 1
-    assert r.counts["fix_size"] == 13
+    assert r.counts["fix_size"] == fix
+    assert r.counts["normalizer_order"] == normalizer
 
 
 @pytest.mark.parametrize(
@@ -401,7 +434,7 @@ def test_fixpoint_transitivity_false_side():
 def test_fixpoint_transitivity_trivial_k():
     from tworank.groups import FiniteGroup
 
-    SN = singer_normalizer_group(pg2(9))
+    SN = singer_normalizer_group(9)
     K = FiniteGroup._from_elements([SN.identity], [])
     r = fixpoint_transitivity_check(SN, K)
     assert r.verdict == "verified"
@@ -428,13 +461,15 @@ def test_fixpoint_transitivity_rejects_bad_k():
         fixpoint_transitivity_check(s4, moving)
 
 
-def test_odd_transitive_search_singer():
-    SN = singer_normalizer_group(pg2(9))
+@pytest.mark.parametrize("q", [9, 25])
+def test_odd_transitive_search_singer(q):
+    """The witness is the Singer cycle itself, of order q^2 + q + 1."""
+    SN = singer_normalizer_group(q)
     witness, rep = odd_transitive_search(SN)
     assert rep.verdict == "verified"
     assert witness is not None
-    assert witness.order % 2 == 1
-    assert 273 % witness.order == 0
+    assert witness.order == q * q + q + 1
+    assert rep.counts["mode"] == 1
 
 
 def test_odd_transitive_search_odd_group_returns_itself():
