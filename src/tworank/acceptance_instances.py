@@ -181,6 +181,7 @@ def quaternion_battery():
         reports.append(check.result(ok, {"match": int(ok)}, {"tag": tag, "info": info}))
     SN = singer_normalizer_group(9)
     witness, rep = odd_transitive_search(SN)
+    rep.params["q"] = 9
     if witness is not None:
         rep.counts["order_divides_273"] = int(273 % witness.order == 0)
     reports.append(rep)

@@ -20,6 +20,9 @@ class GroupElement:
             n += 1
         return n
 
+    def is_involution(self):
+        return not self.is_identity() and (self * self).is_identity()
+
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)

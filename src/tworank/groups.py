@@ -130,7 +130,7 @@ class FiniteGroup:
         return tuple(orbit([g], conjugation(self.gens)))
 
     def involutions(self):
-        return tuple(g for g in self.elements if not g.is_identity() and (g * g).is_identity())
+        return tuple(g for g in self.elements if g.is_involution())
 
     def is_cyclic(self):
         n = self.order

@@ -252,7 +252,6 @@ def lemma_a_check(codec: RowCodec, gen_codes, codes, ctx: GLContext) -> LemmaAVe
 
 @dataclass
 class StreamStats:
-    mode: str
     emitted: int = 0
     truncated: int = 0
     duplicates: int = 0
@@ -281,7 +280,7 @@ def exhaustive_campaign(ctx: GLContext, ambient: FiniteGroup) -> tuple:
     verdicts = []
     for cls in classes:
         verdicts.append(_dense_check(D, cls.elems, cls.gens or (D.id_idx,), ctx))
-    stats = StreamStats(mode="ExhaustiveLattice", emitted=len(classes))
+    stats = StreamStats(emitted=len(classes))
     return verdicts, stats, lattice
 
 
@@ -300,7 +299,7 @@ def random_stream_campaign(
     candidates' closures stop at |G|/p elements; either way it is G, and
     is counted as a stopped closure is."""
     rng = random.Random(seed)
-    stats = StreamStats(mode="RandomGenerated")
+    stats = StreamStats()
     verdicts = []
     seen = set()
     codec = RowCodec(ctx.field, ctx.n)

@@ -13,7 +13,10 @@ point permutations closed lazily under a cap, and its checks read only
 incidence.  The class of a Baer involution is walked as its fixed
 subplanes, certified by joins and meets alone, and point orbits run
 straight off the generators, so point-transitive groups far above the
-element cap can still be checked.
+element cap can still be checked.  odd_transitive_search decides exactly
+whether a permutation group has an odd-order transitive subgroup: the
+group itself, one full cycle, or the first odd transitive class of its
+subgroup lattice, up to lemma_a.LATTICE_AMBIENT_CAP.
 """
 
 from collections import Counter
@@ -22,21 +25,17 @@ from itertools import chain
 from math import isqrt
 from operator import itemgetter
 
+from .dense import DenseGroup
 from .elements import Mat, Perm
 from .errors import ResourceLimitError
 from .gf import field_make
 from .groups import FiniteGroup, closure, is_transitive
 from .orbit import Action, orbit
 from .partarith import factorize, prime_power_decompose
-from .report import VERIFIED, Check, VerificationReport
+from .report import SKIPPED, VERIFIED, Check, VerificationReport
 
 DEFAULT_CLASS_CAP = 500_000
 DEFAULT_GROUP_CAP = 200_000
-# odd_transitive_search: the cap of each pair closure, the number of pairs
-# tried, and the seed that draws them
-SEARCH_CLOSURE_CAP = 100_000
-SEARCH_CANDIDATES = 1000
-SEARCH_SEED = 0
 
 
 def plane_order(lines):
@@ -253,7 +252,7 @@ class PlaneGroup(FiniteGroup):
             plane.line_perm_from_point_perm(gen)
         fixed = tuple(_fixed(perm))
         fixers = _fixing_collineations(plane, fixed)
-        involutions = [h for h in fixers if not h.is_identity() and (h * h).is_identity()]
+        involutions = [h for h in fixers if h.is_involution()]
         if involutions != [perm]:
             raise RuntimeError("the involution is not the only one fixing its fixed points")
         maps = [Action(_image_set, g.img) for g in self.gens]
@@ -396,7 +395,7 @@ def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
     u = isqrt(x)
     if u * u != x or u < 2:
         return check.not_applicable(reason_square_order=0)
-    if g.is_identity() or not (g * g).is_identity():
+    if not g.is_involution():
         return check.not_applicable(reason_involution=0)
     if not is_transitive(G):
         return check.not_applicable(reason_transitive=0)
@@ -405,7 +404,7 @@ def counting_identity_check(G: PlaneGroup, g: Perm) -> VerificationReport:
     n_fixed = len(_fixed(g))
     if n_fixed != baer_count:
         return check.not_applicable(reason_conjugate_fixes=n_fixed, expected=baer_count)
-    involution_sets = {tuple(_fixed(t)) for t in G.gens if not t.is_identity() and (t * t).is_identity()}
+    involution_sets = {tuple(_fixed(t)) for t in G.gens if t.is_involution()}
     try:
         sets = G.conj_class_of(g)
         member = not involution_sets.isdisjoint(sets) or g in G
@@ -503,48 +502,44 @@ def fixpoint_transitivity_check(G, K) -> VerificationReport:
     return check.result(ok, counts, {"counts": counts})
 
 
-def odd_transitive_search(G: PlaneGroup):
-    """Search G for an odd-order subgroup transitive on the plane's points.
+def odd_transitive_search(G):
+    """Decide whether the permutation group G (a PlaneGroup included) has
+    an odd-order subgroup transitive on its n points; returns (witness
+    FiniteGroup or None, VerificationReport).
 
-    Order of attack: G itself if odd; cyclic subgroups generated by single
-    odd-order elements (a full-length cycle suffices); then closures of
-    small odd-order generator pairs, each closure capped at
-    SEARCH_CLOSURE_CAP elements.  A G that does not close under its cap
-    gives a skipped-resource report.  Returns (witness FiniteGroup or None,
-    VerificationReport).
+    The witness is G itself if |G| is odd (mode 0); else, for odd n, the
+    cyclic group of a single n-cycle (mode 1); else, if |G| <=
+    LATTICE_AMBIENT_CAP, the first odd-order class of G's subgroup lattice
+    whose representative is transitive (mode 2; conjugates share
+    transitivity).  No such class is a decided no: not-applicable with the
+    class count.  An intransitive G is not-applicable; one over its own
+    cap or the lattice cap is skipped-resource.
     """
-    import random as _random
+    from .lemma_a import LATTICE_AMBIENT_CAP, SubgroupLattice
 
-    plane = G.plane
-    n_pts = plane.num_points
-    check = Check("odd-transitive", {"q": plane.order}, seed=SEARCH_SEED)
-    rng = _random.Random(SEARCH_SEED)
+    check = Check("odd-transitive", {})
     if not is_transitive(G):
         return None, check.not_applicable(reason_transitive=0)
     try:
         big = G.materialize()
     except ResourceLimitError as exc:
         return None, check.skipped(exc)
+    n = len(big.identity.img)
     if big.order % 2 == 1:
         return big, check.report(VERIFIED, {"witness_order": big.order, "mode": 0})
-    # single elements: an odd-order element with one full cycle
-    for h in big.elements:
-        d = h.order()
-        if d % 2 == 1 and d >= n_pts:
+    if n % 2 == 1:
+        for h in big.elements:
             cyc = h.cycles()
-            if len(cyc) == 1 and len(cyc[0]) == n_pts:
+            if len(cyc) == 1 and len(cyc[0]) == n:
                 witness = closure([h])
-                return witness, check.report(
-                    VERIFIED, {"witness_order": witness.order, "mode": 1}
-                )
-    # small odd-order generator sets
-    odd_pool = [h for h in big.elements if h.order() % 2 == 1 and not h.is_identity()]
-    for _ in range(min(SEARCH_CANDIDATES, len(odd_pool) ** 2 if odd_pool else 0)):
-        pair = [rng.choice(odd_pool), rng.choice(odd_pool)]
-        try:
-            sub = closure(pair, cap=SEARCH_CLOSURE_CAP)
-        except ResourceLimitError:
-            continue
-        if sub.order % 2 == 1 and is_transitive(sub):
-            return sub, check.report(VERIFIED, {"witness_order": sub.order, "mode": 2})
-    return None, check.not_applicable(exhausted=1)
+                return witness, check.report(VERIFIED, {"witness_order": witness.order, "mode": 1})
+    if big.order > LATTICE_AMBIENT_CAP:
+        return None, check.report(SKIPPED, {"partial": big.order})
+    D = DenseGroup(big)
+    classes = SubgroupLattice(D).build()
+    for cls in classes:
+        gens = [D.elems[i] for i in cls.gens]
+        if cls.order % 2 == 1 and len(orbit([0], [g.img for g in gens])) == n:
+            witness = closure(gens)
+            return witness, check.report(VERIFIED, {"witness_order": witness.order, "mode": 2})
+    return None, check.not_applicable(lattice_classes=len(classes))

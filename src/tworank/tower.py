@@ -83,7 +83,7 @@ def _index_exact(total: int, part: int, what: str) -> int:
 def verify_oddnormal(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport:
     """|H:C_H(g)| = |N:C_N(g)| * |H/N:C_{H/N}(gN)| for odd normal N."""
     check = Check("odd-normal-index", {"H_order": H.order, "N_order": N.order})
-    if g not in H or g.is_identity() or not (g * g).is_identity():
+    if g not in H or not g.is_involution():
         return check.not_applicable(reason_involution=0)
     if N.order % 2 == 0 or not N.is_normal_in(H):
         return check.not_applicable(reason_odd_normal=0)
@@ -101,7 +101,7 @@ def verify_sylow_fusion(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport
     """|H:C_H(g)| = |N:C_N(g)| * |g^H n P| / |g^N n P| for g an involution
     inside the normal subgroup N, P a Sylow 2-subgroup of N."""
     check = Check("sylow-fusion-index", {"H_order": H.order, "N_order": N.order})
-    if g not in N or g.is_identity() or not (g * g).is_identity():
+    if g not in N or not g.is_involution():
         return check.not_applicable(reason_involution_in_N=0)
     if not N.is_normal_in(H):
         return check.not_applicable(reason_normal=0)
@@ -127,7 +127,7 @@ def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
     check = Check("tower-index", {"H_order": tower.H.order, "r": tower.r, "k": tower.k})
     if tower.k is None:
         return check.not_applicable(reason_all_odd=0)
-    if g not in tower.H or g.is_identity() or not (g * g).is_identity():
+    if g not in tower.H or not g.is_involution():
         return check.not_applicable(reason_involution=0)
     k = tower.k
     g_k = g.project(k - 1)

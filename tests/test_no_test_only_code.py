@@ -1,5 +1,5 @@
-"""Every module-level function and class in src/tworank, and every
-non-dunder method of its classes, is used by the program itself:
+"""Every module-level function, class and assigned name in src/tworank,
+and every non-dunder method of its classes, is used by the program itself:
 referenced, outside its own definition, from src/tworank, from the
 benchmark under perfbench/, or from pyproject.toml's script entry.  Code
 that only tests reach belongs in tests/ (see oracles.py)."""
@@ -49,22 +49,34 @@ def _statements():
         yield from ((path, stmt) for stmt in ast.parse(path.read_text()).body)
 
 
+def _bound_names(stmt):
+    """The non-dunder names a top-level statement binds: a function or
+    class, or the plain-name targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def test_no_module_level_name_is_test_only():
     statements = list(_statements())
     referenced_by = [(path, stmt, _names_in(stmt)) for path, stmt in statements]
     entries = _script_entries()
     unreferenced = []
     for path, stmt in statements:
-        if path.parent != SRC or not isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
+        if path.parent != SRC:
             continue
-        name = stmt.name
-        if name in entries:
-            continue
-        if any(other is not stmt and name in names for _, other, names in referenced_by):
-            continue
-        unreferenced.append(f"{path.stem}.{name}")
+        for name in _bound_names(stmt):
+            if name in entries:
+                continue
+            if any(other is not stmt and name in names for _, other, names in referenced_by):
+                continue
+            unreferenced.append(f"{path.stem}.{name}")
     assert sorted(set(unreferenced) - ALLOWED_UNREFERENCED) == []
     # the allow-list holds only names that really are unreferenced
     assert ALLOWED_UNREFERENCED <= set(unreferenced)

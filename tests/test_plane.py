@@ -489,6 +489,47 @@ def test_odd_transitive_search_intransitive():
     assert witness is None and rep.verdict == "not-applicable"
 
 
+def _affine_z3_squared_with_negation():
+    """(Z_3 x Z_3) x| <x -> -x> on the 9 points of Z_3^2, point (a, b) as
+    3a + b: order 18, exponent 6, so no element is a 9-cycle."""
+    def perm(f):
+        return Perm([3 * (x % 3) + y % 3 for x, y in (f(a, b) for a in range(3) for b in range(3))])
+
+    return closure([perm(lambda a, b: (a + 1, b)), perm(lambda a, b: (a, b + 1)),
+                    perm(lambda a, b: (-a, -b))])
+
+
+def test_odd_transitive_search_reads_the_lattice():
+    """No 9-cycle, so the witness is the translation group, the first odd
+    transitive class of the lattice."""
+    G = _affine_z3_squared_with_negation()
+    assert G.order == 18
+    witness, rep = odd_transitive_search(G)
+    assert rep.verdict == "verified" and rep.counts["mode"] == 2
+    assert witness.order == rep.counts["witness_order"] == 9
+    assert is_transitive(witness)
+
+
+@pytest.mark.parametrize("make, classes", [
+    pytest.param(lambda: lib.symmetric(4), 11, id="s4"),
+    pytest.param(lambda: psl2_moebius(7), 15, id="psl2-7-on-8-points"),
+])
+def test_odd_transitive_search_decides_no(make, classes):
+    """Every subgroup class is counted, and none is odd and transitive:
+    the odd orders of S_4 are 1 and 3, those of PSL_2(7) 1, 3, 7 and 21,
+    none a multiple of 4 or 8 points."""
+    witness, rep = odd_transitive_search(make())
+    assert witness is None and rep.verdict == "not-applicable"
+    assert rep.counts == {"lattice_classes": classes}
+
+
+def test_odd_transitive_search_over_the_lattice_cap():
+    G = psl2_moebius(19)
+    witness, rep = odd_transitive_search(G)
+    assert witness is None and rep.verdict == "skipped-resource"
+    assert rep.counts == {"partial": 3420}
+
+
 def test_baer_prime_condition():
     from tworank.plane import baer_prime_condition
 

@@ -404,6 +404,8 @@ def _tower_all_odd():
                      id="counting-intransitive"),
         pytest.param(lambda: odd_transitive_search(_intransitive_pg9()[0])[1], NOT_APPLICABLE,
                      id="odd-transitive-intransitive"),
+        pytest.param(lambda: odd_transitive_search(lib.symmetric(4))[1], NOT_APPLICABLE,
+                     id="odd-transitive-lattice-no"),
         pytest.param(_counting_membership_over_cap, SKIPPED, id="counting-membership-over-cap"),
         pytest.param(_fixtrans_over_cap, SKIPPED, id="fixtrans-over-cap"),
         pytest.param(
