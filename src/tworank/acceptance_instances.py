@@ -25,7 +25,6 @@ from .plane import (
     fixpoint_transitivity_check,
     odd_transitive_search,
     pg2,
-    point_stabilizer,
 )
 from .report import Check
 
@@ -71,10 +70,11 @@ def singer_normalizer_group(q):
 
 
 def _stabilizer_subgroups(G):
-    """Subgroups of the stabilizer of point 0 keyed by order (cyclic pieces)."""
-    stab = point_stabilizer(G)
+    """Cyclic subgroups of the stabilizer G_0 of point 0, one per order."""
     out = {}
-    for h in stab.elements:
+    for h in G.elements:
+        if h.img[0] != 0:
+            continue
         d = h.order()
         if d not in out:
             out[d] = closure([h])

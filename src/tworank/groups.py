@@ -36,7 +36,7 @@ class FiniteGroup:
     """
 
     def __init__(self, generators, cap=DEFAULT_ELEMENT_CAP):
-        generators = [g for g in generators if g is not None]
+        generators = list(generators)
         if not generators:
             raise ValueError("generators must be nonempty")
         shape_witness = generators[0]
@@ -143,40 +143,33 @@ class FiniteGroup:
     # -- Sylow subgroups -------------------------------------------------------
 
     def sylow_p(self, p):
-        """A Sylow p-subgroup found by greedy normalizer climbing."""
+        """A Sylow p-subgroup: a maximal p-subgroup, grown in one pass over
+        the elements.
+
+        P starts trivial.  Each p-element x outside P is tried: <P, x> is
+        closed under the cap |G|_p (a p-subgroup cannot be larger) and
+        taken as the new P when its order is a power of p.  Every
+        p-subgroup lies in a Sylow subgroup (Huppert, *Endliche Gruppen I*,
+        1967, I.7), so a maximal one has order |G|_p.  The final P is
+        maximal: were it strictly inside a p-group Q, some x in Q - P was
+        met when P was a smaller P', and <P', x> <= Q is a p-group, so x
+        would have joined P."""
         target = part_pow(self.order, p)
-        if target == 1:
-            return FiniteGroup._from_elements([self.identity], [])
-        seed = None
-        for g in self.elements:
-            d = g.order()
-            if d % p == 0:
-                nonp = d // part_pow(d, p)
-                seed = g**nonp
+        P = FiniteGroup._from_elements([self.identity], [])
+        for x in self.elements:
+            if P.order == target:
                 break
-        P = closure([seed])
-        while P.order < target:
-            z = self._climbing_element(P, p)
-            P = closure(list(P.gens) + [z])
-        if P.order != target:
-            raise RuntimeError("Sylow climb overshot the target order")
-        return P
-
-    def _climbing_element(self, P, p):
-        pset = P.element_set
-        for h in self.elements:
-            if h in pset:
+            if x in P or part_pow(x.order(), p) != x.order():
                 continue
-            if P.normalized_by(h):
-                d = h.order()
-                if d % p == 0:
-                    z = h ** (d // part_pow(d, p))
-                    if z not in pset:
-                        return z
-        raise RuntimeError("no normalizing p-element found; climb is stuck")
-
-    def sylow_two(self):
-        return self.sylow_p(2)
+            try:
+                Q = closure(list(P.gens) + [x], cap=target)
+            except ResourceLimitError:
+                continue
+            if part_pow(Q.order, p) == Q.order:
+                P = Q
+        if P.order != target:
+            raise RuntimeError(f"no p-subgroup of order {target} found")
+        return P
 
     # -- normal structure -------------------------------------------------------
 
@@ -397,7 +390,7 @@ def classify_quaternion_structure(G):
     Recognition is by invariants (orders, involution censuses, cyclicity of
     quotients), not isomorphism testing; "Unknown" is a legitimate verdict.
     """
-    P = G.sylow_two()
+    P = G.sylow_p(2)
     if not (P.is_cyclic() or P.order < 8 or is_generalized_quaternion(P)):
         raise ValueError("Sylow 2-subgroup is neither cyclic nor generalized quaternion")
     core = G.odd_core()

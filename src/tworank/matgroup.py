@@ -72,15 +72,10 @@ class GLContext:
         return hypothesis_ok(self.p)
 
 
-def gl_context(n: int, p: int, a: int = 1) -> GLContext:
+def gl_context_q(n: int, q: int) -> GLContext:
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
-    return GLContext(n, field_make(p, a))
-
-
-def gl_context_q(n: int, q: int) -> GLContext:
-    p, a = prime_power_decompose(q)
-    return gl_context(n, p, a)
+    return GLContext(n, field_make(*prime_power_decompose(q)))
 
 
 @dataclass

@@ -328,19 +328,6 @@ def _fixing_collineations(plane, pts):
     return [h for h in map(run, sorted(candidates)) if h is not None]
 
 
-def point_stabilizer(G):
-    """G_0, the stabilizer of the base point 0 in the permutation group G,
-    on a greedy span of its elements (on objects: a DenseGroup of G costs
-    more than the few closures of G_0)."""
-    elems = [g for g in G.elements if g.img[0] == 0]
-    gens, span = [], {G.identity}
-    for h in elems:
-        if h not in span:
-            gens.append(h)
-            span = closure(gens).element_set
-    return FiniteGroup._from_elements(elems, gens)
-
-
 def gl3_collineation_generators(plane: PG2):
     """The point permutations of three matrices generating the full linear
     group action on the plane: a torus generator, a transvection, and a
@@ -463,9 +450,10 @@ def fixpoint_transitivity_check(G, K) -> VerificationReport:
     for the base point alpha = 0.
 
     G is any permutation FiniteGroup, a PlaneGroup included.  Both sides
-    are exact: the conjugates of K are orbits of K under setwise
-    conjugation by the generators of G and of G_0, and N_G(K) is checked
-    against them by orbit-stabilizer.
+    are exact: the G-conjugates of K are its orbit under setwise
+    conjugation by the generators of G, the G_0-conjugates are h K h^-1
+    for every h in G_0 = {h : h(0) = 0}, and N_G(K) is checked against
+    the G-conjugates by orbit-stabilizer.
     """
     params = {}
     check = Check("fix-transitivity", params)
@@ -483,12 +471,13 @@ def fixpoint_transitivity_check(G, K) -> VerificationReport:
     fix = [i for i in range(degree) if all(k.img[i] == i for k in K.gens)]
     normalizer = [h for h in big.elements if K.normalized_by(h)]
     side_transitive = set(orbit([0], [h.img for h in normalizer])) == set(fix)
-    stab = point_stabilizer(big)
     conj_G = _subgroup_conjugates(K, big.gens)
     if len(normalizer) * len(conj_G) != big.order:
         raise RuntimeError("|N_G(K)| * |K^G| is not |G|")
-    conj_in_stab_G = {S for S in conj_G if S <= stab.element_set}
-    conj_in_stab_H = set(_subgroup_conjugates(K, stab.gens))
+    stab = [h for h in big.elements if h.img[0] == 0]  # G_0
+    stab_set = frozenset(stab)
+    conj_in_stab_G = {S for S in conj_G if S <= stab_set}
+    conj_in_stab_H = {_conjugate_set(K.element_set, (h, h.inv())) for h in stab}
     side_fusion = conj_in_stab_G == conj_in_stab_H
     counts = {
         "fix_size": len(fix),
@@ -538,8 +527,8 @@ def odd_transitive_search(G):
     D = DenseGroup(big)
     classes = SubgroupLattice(D).build()
     for cls in classes:
-        gens = [D.elems[i] for i in cls.gens]
-        if cls.order % 2 == 1 and len(orbit([0], [g.img for g in gens])) == n:
-            witness = closure(gens)
-            return witness, check.report(VERIFIED, {"witness_order": witness.order, "mode": 2})
+        if cls.order % 2 == 1:
+            witness = D.subgroup_from_indices(cls.elems, cls.gens)
+            if is_transitive(witness):
+                return witness, check.report(VERIFIED, {"witness_order": witness.order, "mode": 2})
     return None, check.not_applicable(lattice_classes=len(classes))

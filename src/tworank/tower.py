@@ -105,7 +105,7 @@ def verify_sylow_fusion(H: FiniteGroup, N: FiniteGroup, g) -> VerificationReport
         return check.not_applicable(reason_involution_in_N=0)
     if not N.is_normal_in(H):
         return check.not_applicable(reason_normal=0)
-    P = N.sylow_two()
+    P = N.sylow_p(2)
     pset = P.element_set
     class_h = H.conj_class(g)
     class_n = N.conj_class(g)
@@ -143,7 +143,7 @@ def verify_tower_identity(tower: TowerDecomposition, g) -> VerificationReport:
         factor_list.append(idx)
         prod *= idx
     L_k = tower.levels[k - 1]
-    P = T_k.sylow_two()
+    P = T_k.sylow_p(2)
     pset = P.element_set
     in_p_l = sum(1 for x in L_k.conj_class(g_k) if x in pset)
     in_p_t = sum(1 for x in T_k.conj_class(g_k) if x in pset)

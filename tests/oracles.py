@@ -47,7 +47,7 @@ def two_rank(H):
     the FiniteGroup H.  Checked against a subgroup-lattice scan and used
     to test that 2-rank 1 means a cyclic or generalized quaternion Sylow
     2-subgroup."""
-    P = H.sylow_two()
+    P = H.sylow_p(2)
     invs = P.involutions()
     if not invs:
         return 0

@@ -186,10 +186,10 @@ def test_criterion_12_two_rank_characterization():
         lib.generalized_quaternion(32),
         sylow2_group(sylow2_gl(2, 7)),          # semidihedral of order 32
         lib.elementary_abelian_two(3),        # V_4 x C_2
-        lib.sl2(7).sylow_two(),
+        lib.sl2(7).sylow_p(2),
     ]
     for H in family:
-        P = H.sylow_two()
+        P = H.sylow_p(2)
         rank_one = two_rank(H) == 1
         cyclic_or_quaternion = P.is_cyclic() or (
             P.order >= 8 and is_generalized_quaternion(P)

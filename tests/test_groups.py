@@ -127,10 +127,12 @@ def test_sylow_order_property(p):
 
 def test_sylow_two_examples():
     s4 = lib.symmetric(4)
-    P = s4.sylow_two()
+    P = s4.sylow_p(2)
     assert P.order == 8
-    assert lib.cyclic(15).sylow_two().order == 1
-    Q = lib.sl2(7).sylow_two()
+    assert lib.cyclic(15).sylow_p(2).order == 1
+    # two transpositions of S_5 close to S_3, of order 6, under the cap 8
+    assert lib.symmetric(5).sylow_p(2).order == 8
+    Q = lib.sl2(7).sylow_p(2)
     assert Q.order == 16
     assert is_generalized_quaternion(Q)
 
@@ -197,13 +199,13 @@ def test_two_rank_family():
         (lib.generalized_quaternion(8), 1), (lib.generalized_quaternion(16), 1),
         (sylow2_group(sylow2_gl(2, 7)), 2),  # semidihedral of order 32
         (lib.elementary_abelian_two(3), 3),  # V_4 x C_2
-        (lib.sl2(7).sylow_two(), 1),
+        (lib.sl2(7).sylow_p(2), 1),
         (lib.wreath_c2_c2(), 2),
     ]
     for H, expected in cases:
         assert two_rank(H) == expected, H
     for H, expected in cases:
-        P = H.sylow_two()
+        P = H.sylow_p(2)
         quaternion_or_cyclic = P.is_cyclic() or (P.order >= 8 and is_generalized_quaternion(P))
         assert (expected == 1) == quaternion_or_cyclic
 

@@ -12,7 +12,6 @@ from tworank.matgroup import (
     borel_subgroup,
     census_csv_row,
     certifies_gl2p,
-    gl_context,
     gl_context_q,
     gl_generators,
     monomial_subgroup,
@@ -31,13 +30,15 @@ from oracles import involution_census, sylow2_group
 
 
 def test_gl_context_orders():
-    assert gl_context(2, 7).order == 2016
-    assert gl_context(1, 7).order == 6
-    assert gl_context(3, 7).order == 33784128
-    ctx = gl_context(2, 7)
+    assert gl_context_q(2, 7).order == 2016
+    assert gl_context_q(1, 7).order == 6
+    assert gl_context_q(3, 7).order == 33784128
+    ctx = gl_context_q(2, 7)
     assert ctx.hypothesis_ok()
-    assert not gl_context(2, 3, 2).hypothesis_ok()  # p = 3
-    assert not gl_context(2, 5).hypothesis_ok()  # 5 = 2 mod 3
+    assert not gl_context_q(2, 9).hypothesis_ok()  # p = 3
+    assert not gl_context_q(2, 5).hypothesis_ok()  # 5 = 2 mod 3
+    with pytest.raises(ValueError, match="n >= 1"):
+        gl_context_q(0, 7)
 
 
 def test_sylow2_symmetric_gens_orders():
@@ -155,7 +156,7 @@ def diag2(F, x, y):
 @pytest.mark.parametrize(
     "pair",
     [
-        lambda F: (singer_element(gl_context(2, 7)), singer_element(gl_context(2, 7)) ** 7),
+        lambda F: (singer_element(gl_context_q(2, 7)), singer_element(gl_context_q(2, 7)) ** 7),
         lambda F: (Mat.from_rows(F, [[1, 1], [0, 1]]),) * 2,
         lambda F: (diag2(F, 2, 2),) * 2,
         lambda F: (diag2(F, 2, 3), diag2(F, 3, 2)),

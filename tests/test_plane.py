@@ -5,7 +5,7 @@ import pytest
 from tworank import constructions as lib
 from tworank.acceptance_instances import pair_action_of_s4, psl2_moebius, singer_normalizer_group
 from tworank.elements import Mat, Perm
-from tworank.groups import closure, is_transitive
+from tworank.groups import closure, is_generalized_quaternion, is_transitive
 from tworank.matgroup import GLContext, singer_element
 from tworank.partarith import prime_power_decompose
 from tworank.plane import (
@@ -19,7 +19,6 @@ from tworank.plane import (
     gl3_collineation_generators,
     odd_transitive_search,
     pg2,
-    point_stabilizer,
 )
 from tworank.plane import _fixed, _fixing_collineations, _subplane_order
 
@@ -398,9 +397,9 @@ def test_singer_normalizer_plane_is_pg2_relabelled(q):
 @pytest.mark.parametrize("q, fix, normalizer", [(9, 13, 78), (25, 31, 186)], ids=["9", "25"])
 def test_fixpoint_transitivity_baer_instance(q, fix, normalizer):
     SN = singer_normalizer_group(q)
-    stab = point_stabilizer(SN)
-    assert stab.order == 6
-    k2 = closure([next(h for h in stab.elements if h.order() == 2)])
+    stab = [h for h in SN.elements if h.img[0] == 0]
+    assert len(stab) == 6
+    k2 = closure([next(h for h in stab if h.order() == 2)])
     r = fixpoint_transitivity_check(SN, k2)
     assert r.verdict == "verified"
     assert r.counts["normalizer_transitive_on_fix"] == 1
@@ -409,17 +408,18 @@ def test_fixpoint_transitivity_baer_instance(q, fix, normalizer):
     assert r.counts["normalizer_order"] == normalizer
 
 
-@pytest.mark.parametrize(
-    "make_group",
-    [lambda: lib.symmetric(5), lambda: psl2_moebius(7)],
-    ids=["S5", "PSL2(7)"],
-)
-def test_point_stabilizer_has_few_generators(make_group):
-    G = make_group()
-    stab = point_stabilizer(G)
-    assert stab.element_set == frozenset(h for h in G.elements if h.img[0] == 0)
-    assert closure(list(stab.gens)).element_set == stab.element_set
-    assert len(stab.gens) <= 3
+def test_pgl33_sylow_subgroups():
+    """PGL(3, 3) on the 13 points of PG(2, 3): its Sylow 2-subgroup has
+    order 16 and 5 involutions, and is neither cyclic nor generalized
+    quaternion, so the Sylow claim needs the paper's hypothesis; its
+    Sylow 3-subgroup has order 27."""
+    G = closure(gl3_collineation_generators(pg2(3)))
+    assert G.order == 5616
+    P = G.sylow_p(2)
+    assert P.order == 16
+    assert len(P.involutions()) == 5
+    assert not P.is_cyclic() and not is_generalized_quaternion(P)
+    assert G.sylow_p(3).order == 27
 
 
 def test_fixpoint_transitivity_false_side():
