@@ -16,13 +16,15 @@ calls: row_reduce (Gauss-Jordan elimination to reduced row echelon form,
 which also yields the determinant) and dot (the dot product of two code
 vectors, bound once per field).
 
-The modulus is the lexicographically smallest monic irreducible polynomial
-of the requested degree (high-degree coefficients compared first), so field
-construction is deterministic across runs.  A code does not record its
-field; Mat refuses to combine matrices over different fields.
+The modulus is the first monic irreducible polynomial of the requested
+degree in lexicographic order of its coefficients (c_0, ..., c_{a-1}), c_0
+compared first, found by trial division, so field construction is
+deterministic across runs.  A code does not record its field; Mat refuses
+to combine matrices over different fields.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import ResourceLimitError
 from .partarith import factorize, is_prime
@@ -48,28 +50,6 @@ def _poly_mulmod(u, v, modulus, p):
     return _poly_trim(_poly_rem(out, modulus, p))
 
 
-def _poly_powmod(u, e, modulus, p):
-    result = [1]
-    base = _poly_trim(_poly_rem(u, modulus, p))
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(u, v, p):
-    u, v = list(u), list(v)
-    while v:
-        # u mod v with v made monic
-        inv_lead = pow(v[-1], p - 2, p)
-        vm = [(c * inv_lead) % p for c in v]
-        u = _poly_trim([c % p for c in _poly_rem(u, vm, p)])
-        u, v = v, u
-    return u
-
-
 def _poly_rem(u, v, p):
     """u mod the monic polynomial v over GF(p), untrimmed."""
     u = list(u)
@@ -84,50 +64,25 @@ def _poly_rem(u, v, p):
     return u
 
 
-def _is_irreducible(coeffs, p, a):
-    """Irreducibility of a monic degree-a polynomial over GF(p).
+def _monic(p, d):
+    """The monic degree-d polynomials over GF(p) as coefficient tuples
+    (c_0, ..., c_{d-1}, 1), in lexicographic order of (c_0, ..., c_{d-1})."""
+    for low in product(range(p), repeat=d):
+        yield low + (1,)
 
-    Degree 2 and 3 reduce to a root scan; higher degrees use the standard
-    x^{p^a} = x test together with gcd checks at the maximal subfield levels.
-    """
-    if a == 1:
-        return True
-    if a <= 3:
-        return all(
-            sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p != 0 for x in range(p)
-        )
-    x = [0, 1]
-    if _poly_trim(list(_poly_powmod(x, p**a, coeffs, p))) != x:
-        return False
-    for r in factorize(a):
-        u = _poly_powmod(x, p ** (a // r), coeffs, p)
-        diff = list(u) + [0] * (2 - len(u))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(_poly_trim(diff), list(coeffs), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+
+def _is_irreducible(coeffs, p, a):
+    """A monic degree-a polynomial over GF(p) is irreducible exactly when no
+    monic polynomial of degree 1..a//2 divides it."""
+    return all(
+        any(_poly_rem(coeffs, g, p)) for d in range(1, a // 2 + 1) for g in _monic(p, d)
+    )
 
 
 def _smallest_irreducible(p, a):
-    """Lexicographically smallest monic irreducible of degree a over GF(p).
-
-    Candidates x^a + c_{a-1}x^{a-1} + ... + c_0 are ordered by the tuple
-    (c_{a-1}, ..., c_0), i.e. by k = sum c_i p^i read with c_{a-1} most
-    significant.
-    """
-    if a == 1:
-        return (0, 1)  # the polynomial x
-    for k in range(p**a):
-        digits = []
-        kk = k
-        for _ in range(a):
-            digits.append(kk % p)
-            kk //= p
-        coeffs = tuple(reversed(digits)) + (1,)  # (c_0, ..., c_{a-1}, 1)
-        if _is_irreducible(coeffs, p, a):
-            return coeffs
-    raise RuntimeError(f"no irreducible polynomial of degree {a} over GF({p})")
+    """The first monic irreducible of degree a over GF(p) in the order of
+    _monic: (c_0, ..., c_{a-1}) compared lexicographically, c_0 first."""
+    return next(f for f in _monic(p, a) if _is_irreducible(f, p, a))
 
 
 class FieldSpec:

@@ -47,6 +47,7 @@ from .matgroup import (
     certifies_gl2p,
     gl_context_q,
     gl_generators,
+    hypothesis_ok,
     monomial_subgroup,
     random_invertible,
     singer_normalizer,
@@ -381,7 +382,7 @@ def lemma_a_campaign(
         ctx = gl_context_q(n, q)
     except ResourceLimitError as exc:
         return check.skipped(exc), []
-    if not ctx.hypothesis_ok():
+    if not hypothesis_ok(ctx.p):
         return check.not_applicable(hypothesis_ok=0), []
     if mode == "exhaustive":
         codec = RowCodec(ctx.field, ctx.n)

@@ -68,9 +68,6 @@ class GLContext:
     def order_two_part(self):
         return gl_order_two_part(self.n, self.q)
 
-    def hypothesis_ok(self):
-        return hypothesis_ok(self.p)
-
 
 def gl_context_q(n: int, q: int) -> GLContext:
     if n < 1:

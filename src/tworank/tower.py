@@ -196,7 +196,7 @@ class _InstanceSampler:
         self.names = sorted(self.named)
         self._normal_cache = {}
 
-    def _pick_blocks(self, count, need_involution, max_order=4000):
+    def _pick_blocks(self, count, max_order=4000):
         while True:
             chosen = [self.rng.choice(self.names) for _ in range(count)]
             groups = [self.named[c] for c in chosen]
@@ -205,7 +205,7 @@ class _InstanceSampler:
                 size *= G.order
             if size > max_order:
                 continue
-            if need_involution and all(G.order % 2 for G in groups):
+            if all(G.order % 2 for G in groups):
                 continue
             # odd-order blocks first: keeps projection kernels odd early,
             # which is the ordering the tower identity wants
@@ -213,7 +213,7 @@ class _InstanceSampler:
             return [chosen[i] for i in order_key], [groups[i] for i in order_key]
 
     def product_instance(self, r, max_order=4000):
-        names, groups = self._pick_blocks(r, need_involution=True, max_order=max_order)
+        names, groups = self._pick_blocks(r, max_order=max_order)
         H = lib.direct_product(*groups)
         return "x".join(names), H
 

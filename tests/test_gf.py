@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tworank.errors import ResourceLimitError
-from tworank.gf import FIELD_SIZE_CAP, field_make
+from tworank.gf import FIELD_SIZE_CAP, _is_irreducible, _monic, field_make
 
 
 def naive_order(F, x):
@@ -16,7 +16,7 @@ def naive_order(F, x):
     return k
 
 
-def naive_is_irreducible_quadratic_mod3(c1, c0):
+def naive_is_irreducible_quadratic_mod3(c0, c1):
     return all((x * x + c1 * x + c0) % 3 != 0 for x in range(3))
 
 
@@ -27,17 +27,30 @@ def test_prime_field_has_x_modulus():
 
 
 def test_gf9_modulus_is_lexicographically_first():
-    # oracle: scan (c1, c0) in lexicographic order for the first
+    # oracle: scan (c0, c1) in lexicographic order, c0 first, for the first
     # irreducible x^2 + c1 x + c0 over GF(3)
     first = next(
-        (c1, c0)
-        for c1 in range(3)
+        (c0, c1)
         for c0 in range(3)
-        if naive_is_irreducible_quadratic_mod3(c1, c0)
+        for c1 in range(3)
+        if naive_is_irreducible_quadratic_mod3(c0, c1)
     )
-    assert first == (0, 1)  # x^2 + 1
+    assert first == (1, 0)  # x^2 + 1
     F9 = field_make(3, 2)
     assert F9.modulus == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "p, a, modulus",
+    [
+        # c0 is compared first: scanning c_{a-1} first would pick x^2 + 2
+        # and x^3 + 2x + 1 here
+        (5, 2, (1, 1, 1)),
+        (3, 3, (1, 0, 2, 1)),
+    ],
+)
+def test_low_coefficient_compared_first(p, a, modulus):
+    assert field_make(p, a).modulus == modulus
 
 
 @pytest.mark.parametrize(
@@ -50,9 +63,19 @@ def test_gf9_modulus_is_lexicographically_first():
     ],
 )
 def test_degree_four_and_six_moduli_pinned(p, a, modulus):
-    # the irreducibility search past degree 3 (x^(p^a) = x and the subfield
-    # gcds) picks these; little-endian coefficients, leading 1 last
+    # the trial division by monic factors of degree up to a/2 picks these;
+    # little-endian coefficients, leading 1 last
     assert field_make(p, a).modulus == modulus
+
+
+@pytest.mark.parametrize(
+    "p, a, want",
+    [(3, 2, 3), (3, 3, 8), (3, 4, 18), (3, 5, 48), (3, 6, 116)]
+    + [(5, 2, 10), (5, 3, 40), (5, 4, 150), (7, 2, 21), (7, 3, 112)],
+)
+def test_irreducible_count_matches_gauss(p, a, want):
+    # want is Gauss's count of monic irreducibles, (1/a) sum_{d | a} mu(d) p^(a/d)
+    assert sum(_is_irreducible(f, p, a) for f in _monic(p, a)) == want
 
 
 def test_even_p_rejected():

@@ -14,6 +14,7 @@ from tworank.matgroup import (
     certifies_gl2p,
     gl_context_q,
     gl_generators,
+    hypothesis_ok,
     monomial_subgroup,
     random_invertible,
     singer_element,
@@ -34,9 +35,9 @@ def test_gl_context_orders():
     assert gl_context_q(1, 7).order == 6
     assert gl_context_q(3, 7).order == 33784128
     ctx = gl_context_q(2, 7)
-    assert ctx.hypothesis_ok()
-    assert not gl_context_q(2, 9).hypothesis_ok()  # p = 3
-    assert not gl_context_q(2, 5).hypothesis_ok()  # 5 = 2 mod 3
+    assert hypothesis_ok(ctx.p)
+    assert not hypothesis_ok(gl_context_q(2, 9).p)  # p = 3
+    assert not hypothesis_ok(gl_context_q(2, 5).p)  # 5 = 2 mod 3
     with pytest.raises(ValueError, match="n >= 1"):
         gl_context_q(0, 7)
 
@@ -340,7 +341,7 @@ def _oracle_cases(ctx):
 
 
 @pytest.mark.parametrize("n,q", [(2, 7), (3, 7), (2, 25)])
-def test_code_closure_matches_mat_closure(n, q):
+def test_row_codec_closure_matches_mat_closure(n, q):
     """Same generators, same elements in the same breadth-first order, and
     the same ResourceLimitError partial over the cap."""
     ctx = gl_context_q(n, q)
