@@ -104,14 +104,10 @@ def generalized_quaternion(order):
     q = 3
     while not (is_prime(q) and q % 4 == 3 and part_pow(q + 1, 2) >= half):
         q += 4
-    from .matgroup import _torus_inverting_element, _torus_two_part_generator
+    from .matgroup import _torus_pair
 
-    F = field_make(q)
-    a, _ = _torus_two_part_generator(F, q)
-    a1 = a ** (a.order() // half)
-    central = a1 ** (half // 2)
-    b = _torus_inverting_element(F, a, q, central)
-    group = closure([a1, b])
+    a, b = _torus_pair(field_make(q))
+    group = closure([a ** (a.order() // half), b])
     if group.order != order:
         raise RuntimeError(f"quaternion construction gave order {group.order}")
     return group

@@ -28,7 +28,6 @@ from .partarith import largest_proper_divisor
 class DenseGroup:
     def __init__(self, group):
         group.materialize()
-        self.group = group
         self.elems = elems = group.elements
         self.n = n = len(elems)
         self.index = index = {g: i for i, g in enumerate(elems)}

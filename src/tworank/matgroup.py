@@ -6,11 +6,11 @@ construction of Carter and Fong (J. Algebra 1, 1964):
 
 * q = 3 mod 4: k = n // 2 copies of the 2x2 group on diagonal blocks,
   wreathed by a Sylow 2-subgroup of S_k permuting the blocks.  The 2x2
-  group is generated by the 2-power part `a` of a torus element (companion
-  matrix of an irreducible quadratic whose root has full 2-part order) and
-  a torus-inverting element `b` of order 4 with b^2 = a^{(q+1)_2} and
-  b a b^{-1} = a^q; it has order 4*(q+1)_2.  For n = 2 the one block is the
-  whole group, and for odd n a -1 on the last coordinate is added.
+  group is generated by the 2-power part `a` of the Singer cycle s of
+  GL_2(q) and b = t a, t the Frobenius twist of s (t s t^-1 = s^q,
+  t^2 = I), so b^2 = a^{(q+1)_2} and b a b^{-1} = a^q; it has order
+  4*(q+1)_2.  For n = 2 the one block is the whole group, and for odd n a
+  -1 on the last coordinate is added.
 * q = 1 mod 4: the 2-part of the diagonal torus wreathed by a Sylow
   2-subgroup of S_n.
 
@@ -171,92 +171,42 @@ def block_perm_matrix(field, n, perm, bsize):
     return Mat(field, n, vals, _checked=True)
 
 
-def _twist_kernel_basis(field, s, s_target):
-    """Basis of {X : X s = s_target X} as flat n^2 coefficient vectors."""
-    n = s.n
-    nn = n * n
-    sv, tv = s.vals, s_target.vals
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * nn
-            for k in range(n):
-                row[i * n + k] = field.add_code(row[i * n + k], sv[k * n + j])
-                row[k * n + j] = field.sub_code(row[k * n + j], tv[i * n + k])
-            rows.append(row)
-    pivots, _ = field.row_reduce(rows, nn)
-    free = [c for c in range(nn) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * nn
-        vec[fc] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = field.neg_code(rows[ri][fc])
-        basis.append(vec)
-    return basis
+def frobenius_twist(c: Mat, q: int) -> Mat:
+    """The twist t of a companion matrix c of an irreducible polynomial of
+    degree n over GF(q), c e_j = e_(j+1): t c t^-1 = c^q and t^n = I.
+
+    c is multiplication by a root x on GF(q^n) in the basis 1, x, ...,
+    x^(n-1).  Column j of t is column 0 of c^(qj), the coordinates of
+    (x^j)^q, so t is the Frobenius y -> y^q: it is GF(q)-linear, it maps
+    x y to x^q t(y), so t c t^-1 = c^q, and t^n = I as y^(q^n) = y."""
+    n = c.n
+    step, power, cols = c**q, Mat.identity_of(c.field, n), []
+    for _ in range(n):
+        cols.append(power.vals[0::n])
+        power = power * step
+    return Mat(c.field, n, [col[i] for i in range(n) for col in cols], _checked=True)
 
 
-def _torus_two_part_generator(field, q):
-    """The 2-part `a` of a torus generator of GL_2(q): companion matrix of
-    the first (lexicographic) irreducible monic quadratic whose root has
-    full 2-part order in F_{q^2}^*, raised to the odd part of q^2 - 1."""
-    target = part_pow(q * q - 1, 2)
-    odd = (q * q - 1) // target
-    for c1 in range(q):
-        for c0 in range(q):
-            if _has_root(field, (c0, c1)):
-                continue
-            companion = Mat.from_rows(
-                field, [[0, field.neg_code(c0)], [1, field.neg_code(c1)]]
-            )
-            a = companion**odd
-            if a.order() == target:
-                return a, (c0, c1)
-    raise RuntimeError(f"no quadratic with full 2-part torus order over GF({q})")
+def _torus_pair(field):
+    """(a, b) generating the Sylow 2-subgroup of GL_2(q), q = 3 mod 4.
 
-
-def _twist_elements(field, s, s_target):
-    """Invertible X with X s X^{-1} = s_target, enumerated deterministically
-    over the kernel of X -> X s - s_target X."""
-    basis = _twist_kernel_basis(field, s, s_target)
-    n = s.n
-    nn = n * n
-    for combo in product(range(field.q), repeat=len(basis)):
-        if all(u == 0 for u in combo):
-            continue
-        vec = [0] * nn
-        for u, bvec in zip(combo, basis):
-            if u:
-                for t in range(nn):
-                    if bvec[t]:
-                        vec[t] = field.add_code(vec[t], field.mul_code(u, bvec[t]))
-        try:
-            yield Mat(field, n, vec)
-        except ValueError:
-            continue
-
-
-def _torus_inverting_element(field, a, q, target_square):
-    """An order-4 matrix b with b a b^{-1} = a^q and b^2 = target_square.
-
-    All solutions W of W a = a^q W form a 2-dimensional linear space; it is
-    enumerated deterministically and the first invertible W with the right
-    square is returned.
-    """
-    for W in _twist_elements(field, a, a**q):
-        if W * W == target_square:
-            return W
-    raise RuntimeError("no torus-inverting element of order 4 found")
+    a = s^((q^2 - 1) / (q^2 - 1)_2) is the 2-part of the Singer cycle s,
+    of order 2 (q + 1)_2, and b = t a with t the Frobenius twist of s.
+    As t^2 = I and t a t^-1 = a^q: b^2 = a^(q+1) = a^((q+1)_2) = -I and
+    b a b^-1 = a^q."""
+    q = field.q
+    s = singer_element(GLContext(2, field))
+    a = s ** ((q * q - 1) // part_pow(q * q - 1, 2))
+    return a, frobenius_twist(s, q) * a
 
 
 def _presentation4q1(field, q):
     """(a, b, relations) of the Sylow 2-subgroup of GL_2(q), q = 3 mod 4:
-    a is the 2-part of a torus generator and b an order-4 element with
+    a is the 2-part of the Singer cycle and b an order-4 element with
     b^2 = a^{(q+1)_2} and b^-1 a b = a^q.  Nothing is closed."""
-    a, quadratic = _torus_two_part_generator(field, q)
+    a, b = _torus_pair(field)
     t2 = part_pow(q + 1, 2)
     central = a**t2  # the unique involution of the torus 2-part: -identity
-    b = _torus_inverting_element(field, a, q, central)
     relations = {
         "a_order": a.order(),
         "b_order": b.order(),
@@ -264,7 +214,6 @@ def _presentation4q1(field, q):
         "b^4=1": (b**4).is_identity(),
         "a^((q+1)_2)=b^2": central == b * b,
         "b^-1*a*b=a^q": (b.inv() * a) * b == a**q,
-        "quadratic": quadratic,
     }
     return a, b, relations
 
@@ -655,10 +604,7 @@ def singer_element(ctx: GLContext) -> Mat:
             for j in range(n):
                 vals[i][j] = 1 if j == i - 1 else 0
             vals[i][n - 1] = field.neg_code(c[i])
-        try:
-            companion = Mat.from_rows(field, vals)
-        except ValueError:
-            continue
+        companion = Mat.from_rows(field, vals)
         if companion**full != ident:
             continue
         if all(companion ** (full // r) != ident for r in prime_divs):
@@ -679,14 +625,12 @@ def _has_root(field, c):
 
 
 def singer_normalizer(ctx: GLContext):
-    """The Singer torus extended by a twist conjugating it to its q-th
-    power, as (generator codes, element codes); order n (q^n - 1)."""
+    """The normaliser <s> : <t> of the Singer cycle s, t its Frobenius
+    twist, as (generator codes, element codes); order n (q^n - 1)
+    (Huppert, *Endliche Gruppen I*, 1967, II.7)."""
     s = singer_element(ctx)
-    field = ctx.field
-    twist = next(iter(_twist_elements(field, s, s**field.q)), None)
-    if twist is None:
-        raise RuntimeError("no invertible Singer twist found")
-    return RowCodec(field, ctx.n).closure([s, twist], STRUCTURED_CAP)
+    twist = frobenius_twist(s, ctx.q)
+    return RowCodec(ctx.field, ctx.n).closure([s, twist], STRUCTURED_CAP)
 
 
 def random_invertible(ctx: GLContext, rng) -> Mat:

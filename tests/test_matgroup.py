@@ -6,12 +6,12 @@ from tworank.elements import Mat
 from tworank.errors import ResourceLimitError
 from tworank.gf import field_make
 from tworank.matgroup import (
-    _twist_kernel_basis,
     CENSUS_CSV_HEADER,
     RowCodec,
     borel_subgroup,
     census_csv_row,
     certifies_gl2p,
+    frobenius_twist,
     gl_context_q,
     gl_generators,
     hypothesis_ok,
@@ -78,7 +78,7 @@ def test_sylow2_gl2_q19():
 
 
 def test_sylow2_gl2_presentation_relations():
-    for q in (7, 19, 31):
+    for q in (7, 19, 31, 3, 11, 27, 43):
         desc = sylow2_gl(2, q)
         rel = desc.presentation
         t2 = part_pow(q + 1, 2)
@@ -150,37 +150,46 @@ def test_sylow2_gl2_q13_diagonal_wreath():
     assert desc.construction == "DiagonalWreath"
 
 
-def diag2(F, x, y):
-    return Mat.from_rows(F, [[x, 0], [0, y]])
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 7), (2, 9), (3, 3), (2, 27)])
+def test_frobenius_twist_conjugates_singer_to_its_qth_power(n, q):
+    s = singer_element(gl_context_q(n, q))
+    t = frobenius_twist(s, q)
+    assert (t * s) * t.inv() == s**q
+    assert t.order() == n
 
 
-@pytest.mark.parametrize(
-    "pair",
-    [
-        lambda F: (singer_element(gl_context_q(2, 7)), singer_element(gl_context_q(2, 7)) ** 7),
-        lambda F: (Mat.from_rows(F, [[1, 1], [0, 1]]),) * 2,
-        lambda F: (diag2(F, 2, 2),) * 2,
-        lambda F: (diag2(F, 2, 3), diag2(F, 3, 2)),
-        lambda F: (diag2(F, 2, 3), diag2(F, 4, 5)),
-    ],
-)
-def test_twist_kernel_basis_spans_brute_force_solutions(pair):
-    # oracle: every one of the 7^4 2x2 matrices X, tested for X s = t X
+def test_frobenius_twist_among_brute_force_solutions():
+    # oracle: every one of the 7^4 2x2 matrices X, tested for X s = s^7 X
     from itertools import product
 
-    F = field_make(7)
-    s, t = pair(F)
-    basis = _twist_kernel_basis(F, s, t)
-    span = set()
-    for combo in product(range(F.q), repeat=len(basis)):
-        span.add(tuple(sum(u * b[k] for u, b in zip(combo, basis)) % 7 for k in range(4)))
-    assert len(span) == F.q ** len(basis)
+    ctx = gl_context_q(2, 7)
+    F, s = ctx.field, singer_element(ctx)
+    target = s**7
     solutions = set()
     for vals in product(range(F.q), repeat=4):
         X = Mat(F, 2, vals, _checked=True)
-        if X * s == t * X:
+        if X * s == target * X:
             solutions.add(vals)
-    assert span == solutions
+    assert len(solutions) == 49
+    assert tuple(frobenius_twist(s, 7).vals) in solutions
+
+
+@pytest.mark.parametrize("q,order", [(7, 96), (3, 16)])
+def test_singer_normalizer_is_the_whole_normalizer(q, order):
+    # oracle: every invertible x in GL_2(q) with x s x^-1 in <s>
+    from itertools import product
+
+    ctx = gl_context_q(2, q)
+    codec = RowCodec(ctx.field, 2)
+    s = singer_element(ctx)
+    torus = set(closure([s]).elements)
+    normalizer = []
+    for vals in product(range(q), repeat=4):
+        x = Mat(ctx.field, 2, vals, _checked=True)
+        if x.det() and (x * s) * x.inv() in torus:
+            normalizer.append(codec.encode(x))
+    assert len(normalizer) == order
+    assert sorted(singer_normalizer(ctx)[1]) == sorted(normalizer)
 
 
 def test_involution_census_endpoint():

@@ -26,7 +26,7 @@ DIGESTS = [
     ("census sylow2 --n 4 --q 7", "01f17dab7348f8965d355a5665f41a37c047865f7af764122bc36e2a954f12fd"),
     # DiagonalWreath: the 2-part of the diagonal torus wreathed by S_4's Sylow 2
     ("census sylow2 --n 4 --q 5", "1f423b59820973f7c25c3cf969e807e3aea3eba5c5a26efa5198230572b15626"),
-    # det, inv and the twist kernel over an extension field with a > 2
+    # det, inv and the Frobenius twist over an extension field with a > 2
     ("census sylow2 --n 2 --q 27", "077f25b93bb8c4c595abdfc9f4b5dbcf0760e0f6161cf1e77c84a2639cd92b75"),
     # the census bound in both cases: q + 2 inclusive, the geometric sum strict
     ("census sylow2 --n 2 --q 7 --format csv",
