@@ -93,12 +93,11 @@ class DenseGroup:
     # -- closures -----------------------------------------------------------
 
     def close(self, seeds, gen_idxs):
-        """Indices of the subgroup generated by seeds and gens; seeds must
-        contain the identity or be extendable by it.
+        """Indices of <gens>, grown from the seeds.
 
-        Precondition: the orbit of the seeds under right multiplication by
-        the gens is a subgroup (the seeds lie in <gens>, or they form a
-        normal subgroup that the gens extend).  Then an orbit that passes
+        Precondition: the seeds are a subgroup H of <gens> (an empty list
+        stands for the trivial one), so their orbit under right
+        multiplication by the gens is <gens>.  An orbit that passes
         largest_proper_divisor(n) elements is the whole group by Lagrange,
         and the closure stops there and returns every index."""
         if self.id_idx not in seeds:

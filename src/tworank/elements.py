@@ -89,6 +89,13 @@ class Perm(GroupElement):
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.img))
 
+    def is_involution(self):
+        """img[img[i]] == i for every i and img is not the identity, read off
+        the image tuple with no Perm product built."""
+        img = self.img
+        ident = tuple(range(len(img)))
+        return img != ident and tuple(map(img.__getitem__, img)) == ident
+
     def cycles(self):
         seen = set()
         out = []
@@ -246,6 +253,12 @@ class DirectTuple(GroupElement):
 
     def is_identity(self):
         return all(a.is_identity() for a in self.parts)
+
+    def is_involution(self):
+        """Every part is the identity or an involution, and one is not the
+        identity."""
+        inv = [a.is_involution() for a in self.parts]
+        return any(inv) and all(f or a.is_identity() for f, a in zip(inv, self.parts))
 
     def project(self, start):
         """The components from index start on, as a DirectTuple."""

@@ -9,10 +9,12 @@ Two stream modes feed the check:
 
 * ExhaustiveLattice: every subgroup of the ambient up to conjugacy, found
   by breadth-first one-element extensions of class representatives.  A
-  subgroup equal to <H, g> only depends on the double coset HgH, and every
-  subgroup is reachable by a chain of one-element extensions, so the walk
-  is complete.  Completeness is additionally self-tested against a
-  no-dedup oracle on small ambients.
+  subgroup equal to <H, g> only depends on the double coset HgH, and H is
+  extended only by double cosets holding an x of prime-power order p^k
+  with x^p in H; every subgroup is reachable by a chain of such
+  extensions (SubgroupLattice.build), so the walk is complete.
+  Completeness is additionally self-tested against a no-dedup oracle on
+  small ambients.
 * RandomGenerated: seeded closures of 1-3 random elements, deduplicated,
   plus the structured families (Sylow-2, Borel, monomial, Singer
   normalizer, and the ambient itself when it fits the cap).  Closures,
@@ -36,6 +38,7 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 
 from .dense import DenseGroup
 from .errors import ResourceLimitError
@@ -54,7 +57,7 @@ from .matgroup import (
     sylow2_gl,
 )
 from .orbit import Action, conjugation, orbit
-from .partarith import geom_sum, heart_coprime, largest_proper_divisor
+from .partarith import factorize, geom_sum, heart_coprime, largest_proper_divisor
 from .report import Check, VerificationReport
 
 LATTICE_AMBIENT_CAP = 2500
@@ -131,14 +134,52 @@ class SubgroupLattice:
         return cid
 
     def build(self):
+        """Register every class of subgroups; return self.classes in
+        discovery order.
+
+        The cyclic pass registers <i> once per cyclic subgroup: it walks i's
+        powers along rrow(i) and skips every i^k with gcd(k, |i|) = 1, which
+        generates the same subgroup.  On the way it records x^p for each x
+        of prime-power order p^k.  Each class H is then extended by one
+        element per double coset H g H that holds such an x with x^p in H.
+
+        Lemma: if H < K, then some x in K outside H has prime-power order
+        p^k and x^p in H.  Take y in K outside H.  Its prime-power parts
+        are powers of y, so some part z lies outside H; of z, z^p,
+        z^(p^2), ..., 1, the last one outside H is x.
+
+        So every subgroup K > 1 is reached, by induction on |K|.  A cyclic
+        K is registered by the cyclic pass.  Otherwise a maximal subgroup M
+        of K has a registered conjugate H = M^c, and the lemma gives x in
+        K outside M with x^p in M.  Then x^c lies outside the maximal H, with
+        (x^c)^p in H, so K^c = <H, x^c> = <H, g> for the representative g
+        of H x^c H, and the extension of H by g finds it.
+        """
         D = self.D
         n = D.n
         self._register([D.id_idx], ())
         worklist = []
+        pth = []  # (x, x^p) for every x of prime-power order p^k
+        done = [False] * n
+        done[D.id_idx] = True
         for i in range(n):
-            if i == D.id_idx:
+            if done[i]:
                 continue
-            cid = self._register(D.close([], [i]), (i,))
+            row = D.rrow(i)
+            powers = [D.id_idx]
+            x = i
+            while x != D.id_idx:
+                powers.append(x)
+                x = row[x]
+            m = len(powers)
+            primes = list(factorize(m))
+            for k in range(1, m):
+                if gcd(k, m) == 1:
+                    x = powers[k]
+                    done[x] = True
+                    if len(primes) == 1:
+                        pth.append((x, powers[k * primes[0] % m]))
+            cid = self._register(powers, (i,))
             if cid is not None:
                 worklist.append(cid)
         head = 0
@@ -147,17 +188,19 @@ class SubgroupLattice:
             head += 1
             if cls.order == n:
                 continue
-            for g in self._double_coset_reps(cls):
+            for g in self._double_coset_reps(cls, pth):
                 K = D.close(list(cls.elems), list(cls.gens) + [g])
                 cid = self._register(K, tuple(cls.gens) + (g,))
                 if cid is not None:
                     worklist.append(cid)
         return self.classes
 
-    def _double_coset_reps(self, cls):
-        """One representative per double coset H g H, skipping H itself.
-        Extensions by elements of one double coset generate equal
-        subgroups, so one representative suffices."""
+    def _double_coset_reps(self, cls, pth):
+        """One representative per double coset H g H that holds an x with
+        (x, x^p) in pth and x^p in H, skipping H itself (build's lemma).
+        Every element of H g H generates the same <H, g>, so the
+        representative is the first element of the double coset's first
+        left coset."""
         D = self.D
         n = D.n
         helems = sorted(cls.elems)
@@ -170,17 +213,23 @@ class SubgroupLattice:
                 coset_rep.append(e)
                 for row in hrows:
                     coset_id[row[e]] = c
+        wanted = [False] * len(coset_rep)
+        for x, xp in pth:
+            if xp in cls.elems:
+                wanted[coset_id[x]] = True
         # orbits of cosets under left multiplication by the subgroup gens
-        gen_lrows = [D.lrow(g) for g in (cls.gens or sorted(cls.elems)[:1])]
+        gen_lrows = [D.lrow(g) for g in cls.gens]
         coset_rows = [[coset_id[lrow[r]] for r in coset_rep] for lrow in gen_lrows]
         seen = [False] * len(coset_rep)
         seen[coset_id[D.id_idx]] = True
         reps = []
         for c in range(len(coset_rep)):
             if not seen[c]:
-                reps.append(coset_rep[c])
-                for y in orbit([c], coset_rows):
+                double = orbit([c], coset_rows)
+                for y in double:
                     seen[y] = True
+                if any(wanted[y] for y in double):
+                    reps.append(coset_rep[c])
         return reps
 
 

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from tworank import constructions as lib
 from tworank.elements import DirectTuple, Mat, Perm
 from tworank.gf import field_make
 
@@ -129,6 +130,24 @@ def test_direct_tuple_componentwise():
     assert x * x.inv() == x.identity()
     with pytest.raises(ValueError):
         x * DirectTuple((Perm.identity_of(3),))
+
+
+@pytest.mark.parametrize(
+    "build, involutions",
+    [
+        (lambda: lib.symmetric(4), 9),
+        (lambda: lib.generalized_quaternion(16), 1),
+        # Perm, Perm and Mat parts: (1 + 3)(1 + 1)(1 + 1) - 1 involutions
+        (lambda: lib.direct_product(lib.symmetric(3), lib.cyclic(4),
+                                    lib.generalized_quaternion(8)), 15),
+    ],
+)
+def test_is_involution_matches_squaring(build, involutions):
+    G = build()
+    G.materialize()
+    for g in G.elements:
+        assert g.is_involution() == (not g.is_identity() and (g * g).is_identity())
+    assert len(G.involutions()) == involutions
 
 
 def test_wreath_square_counts_match_direct_census():

@@ -20,6 +20,14 @@ from tworank.matgroup import RowCodec, certifies_gl2p, gl_context_q, gl_generato
 from oracles import all_subgroups_oracle, lemma_a_check, sylow2_group
 
 
+def _gl23():
+    ctx = gl_context_q(2, 3)
+    codec = RowCodec(ctx.field, ctx.n)
+    G = codec.group(*codec.closure(gl_generators(ctx), None))
+    assert G.order == 48
+    return G
+
+
 def test_lattice_s4_class_and_subgroup_counts():
     D = DenseGroup(lib.symmetric(4))
     lat = SubgroupLattice(D)
@@ -40,6 +48,13 @@ def test_lattice_s4_class_and_subgroup_counts():
         lambda: lib.elementary_abelian_two(3),
         lambda: lib.generalized_quaternion(16),
         lambda: lib.alternating(5),
+        # a generator of the whole group: powers walk rows past Lagrange
+        lambda: lib.cyclic(12),
+        lambda: lib.cyclic(16),
+        lambda: lib.direct_product(lib.cyclic(3), lib.symmetric(3)),
+        # composite element orders, and a non-solvable SL_2(5)
+        lambda: _gl23(),
+        lambda: lib.sl2(5),
     ],
 )
 def test_lattice_completeness_against_oracle(build):
@@ -77,6 +92,28 @@ def test_lattice_contains_known_gl27_subgroups():
     orders = {v.subgroup_order for v in verdicts}
     # Sylow-2, Singer torus, Borel representatives
     assert {32, 48, 252, 336, 2016} <= orders
+
+
+def test_lattice_extensions_on_gl27_are_pruned(monkeypatch):
+    """Only double cosets holding an x of prime-power order with x^p in H
+    are extended, and the cyclic pass closes nothing: the GL_2(7) lattice
+    takes 2,400 closures (7,575 when every double coset and every element
+    was closed) for the same 84 classes and 1,704 subgroups."""
+    ctx = gl_context_q(2, 7)
+    D = DenseGroup(closure(gl_generators(ctx)))
+    calls = 0
+    close = DenseGroup.close
+
+    def counting_close(self, seeds, gen_idxs):
+        nonlocal calls
+        calls += 1
+        return close(self, seeds, gen_idxs)
+
+    monkeypatch.setattr(DenseGroup, "close", counting_close)
+    lat = SubgroupLattice(D)
+    assert len(lat.build()) == 84
+    assert len(lat.by_set) == 1704
+    assert calls == 2400
 
 
 def test_lemma_a_check_gl27_instances():

@@ -89,3 +89,24 @@ def test_counting_q25_digest_and_counts(capsys):
     counts = json.loads(out)["counts"]
     assert counts["ratio"] == 21
     assert counts["class_size"] == 409_500
+
+
+# one row per lattice class, in discovery order; pinned apart from DIGESTS
+# so the command runs once.  The digest was fcd86d2a... until the lattice
+# extended each class only by prime-power elements whose p-th power lies in
+# it: that moved the discovery order, not the rows, whose sorted lines
+# still hash to the last value
+EXHAUSTIVE_CSV = (
+    "verify lemma-a --n 2 --q 7 --mode exhaustive --format csv",
+    "8861cb866696665dfcb752adc396ae7e857a8ef41b294d8c9fc47111209040ec",
+    "966d749dc3a3b70d804e02493f9701d164e5f12fe81ef6dba00a0c710d8da0d0",
+)
+
+
+def test_exhaustive_csv_digest_and_sorted_rows(capsys):
+    command, digest, sorted_digest = EXHAUSTIVE_CSV
+    assert run(command.split() + ["--stable-output"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    rows = "".join(sorted(out.splitlines(keepends=True)))
+    assert hashlib.sha256(rows.encode()).hexdigest() == sorted_digest
